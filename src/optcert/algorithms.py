@@ -7,22 +7,32 @@ sparsity net whose output gates the iterate before soft-thresholding with
 a learned prox parameter. Hypergradients through one update step are exact
 reverse-mode; the preprocessed inputs are treated as constants since they
 depend only on the previous iterates.
+
+Every update is written once, over rows: a step takes vector iterates with
+one instance, or (B, n) iterates with B instances stacked by
+``QuadraticBatch``/``LassoBatch``, and the single-instance step is the
+B = 1 case with the same bits.  ``rollout`` runs k steps over a list of
+instances and returns the (B, k+1) loss matrix that the estimators, risks,
+scores and reports reduce over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nets import DenseNet
 from .problems import (
+    LassoBatch,
     LassoClassContext,
-    LassoInstance,
-    QuadraticInstance,
+    QuadraticBatch,
     grad_quadratic,
     loss_lasso,
     loss_quadratic,
+    reg_column,
+    row_dot,
     smooth_grad_lasso,
     subgrad_lasso,
 )
@@ -41,10 +51,11 @@ __all__ = [
     "fista_step",
     "ista_step",
     "run_algorithm",
+    "rollout",
+    "reference_rollout",
     "QuadLearnedAlgo",
     "LassoLearnedAlgo",
     "HbfAlgo",
-    "GdAlgo",
     "FistaAlgo",
     "IstaAlgo",
 ]
@@ -56,7 +67,7 @@ class ZeroLossError(ValueError):
 
 @dataclass(frozen=True)
 class AlgoState:
-    """Current and previous iterate; momentum is their difference."""
+    """Current and previous iterate (vectors, or (B, n) rows); momentum is their difference."""
 
     x_curr: np.ndarray
     x_prev: np.ndarray
@@ -75,16 +86,19 @@ class HbfParams:
     beta: float
 
 
-def preprocess(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split a vector into its unit direction and log-transformed norm.
+def preprocess(v: np.ndarray):
+    """Split a vector, or each row of a (B, n) matrix, into unit direction and log1p(norm).
 
-    The zero vector maps to (0, 0).
+    A zero vector or row maps to (0, 0).  A vector gives a float norm term,
+    a matrix a (B,) array.
     """
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(v), 0.0
-    return v / norm, float(np.log1p(norm))
+    if v.ndim == 1:
+        units, lognorms = preprocess(v[None, :])
+        return units[0], float(lognorms[0])
+    norms = np.sqrt(row_dot(v, v))[:, None]
+    units = np.divide(v, norms, out=np.zeros_like(v), where=norms != 0.0)
+    return units, np.log1p(norms[:, 0])
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -132,32 +146,37 @@ class LearnedQuadArch:
 class _QuadStepTape:
     dir_tape: object
     step_tape: object
-    direction: np.ndarray
-    step_size: float
+    direction: np.ndarray  # (B, n)
+    step_size: np.ndarray  # (B,)
 
 
-def quad_step_forward(
-    arch: LearnedQuadArch, state: AlgoState, inst: QuadraticInstance
-) -> tuple[AlgoState, _QuadStepTape]:
-    x = state.x_curr
+def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool = True):
+    """One learned step on one instance, or on the rows of a ``QuadraticBatch``.
+
+    The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
+    norm rows.  Returns the next state and the tape (None unless ``tape``).
+    """
+    x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
+    rows, n = x.shape
     d1, n1 = preprocess(grad_quadratic(x, inst))
-    d2, n2 = preprocess(x - state.x_prev)
-    channels = np.stack([d1, d2, d1 * d2], axis=1)
-    d_out, dir_tape = arch.direction_net.forward(channels)
-    direction = d_out[:, 0]
-    s_out, step_tape = arch.step_net.forward(np.array([n1, n2]))
-    step_size = float(s_out[0])
-    x_next = x + step_size * direction
-    tape = _QuadStepTape(dir_tape, step_tape, direction, step_size)
-    return AlgoState(x_curr=x_next, x_prev=x), tape
+    d2, n2 = preprocess(x - x_prev)
+    channels = np.stack([d1, d2, d1 * d2], axis=2).reshape(rows * n, 3)
+    d_out, dir_tape = arch.direction_net.forward(channels, tape)
+    direction = d_out.reshape(rows, n)
+    s_out, step_tape = arch.step_net.forward(np.stack([n1, n2], axis=1), tape)
+    step_size = s_out[:, 0]
+    x_next = (x + step_size[:, None] * direction).reshape(state.x_curr.shape)
+    next_state = AlgoState(x_curr=x_next, x_prev=state.x_curr)
+    return next_state, (_QuadStepTape(dir_tape, step_tape, direction, step_size) if tape else None)
 
 
 def quad_step_backward(arch: LearnedQuadArch, tape: _QuadStepTape, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters."""
-    g_s = float(tape.direction @ out_grad)
-    g_d = tape.step_size * out_grad
-    _, dir_wg = arch.direction_net.backward(tape.dir_tape, g_d[:, None])
-    _, step_wg = arch.step_net.backward(tape.step_tape, np.array([g_s]))
+    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows)."""
+    out_grad = np.atleast_2d(out_grad)
+    g_s = row_dot(tape.direction, out_grad)
+    g_d = tape.step_size[:, None] * out_grad
+    _, dir_wg = arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1))
+    _, step_wg = arch.step_net.backward(tape.step_tape, g_s[:, None])
     return np.concatenate([w.ravel() for w in dir_wg] + [w.ravel() for w in step_wg])
 
 
@@ -230,47 +249,59 @@ class _LassoStepTape:
     dir_tape: object
     step_tape: object
     sparse_tape: object
-    direction: np.ndarray
-    step_size: float
+    direction: np.ndarray  # (B, n)
+    step_size: np.ndarray  # (B,)
     x_tilde: np.ndarray
     z: np.ndarray
     gated: np.ndarray  # z * x_tilde, input of the soft threshold
-    thresh: float
+    thresh: np.ndarray  # prox_tau * reg, one per row
     y: np.ndarray
-    reg: float
+    reg: np.ndarray
 
 
 def lasso_step_forward(
-    arch: LearnedLassoArch, state: AlgoState, inst: LassoInstance, ctx: LassoClassContext
-) -> tuple[AlgoState, _LassoStepTape]:
-    x = state.x_curr
+    arch: LearnedLassoArch, state: AlgoState, inst, ctx: LassoClassContext, tape: bool = True
+):
+    """One learned step on one instance, or on the rows of a ``LassoBatch``.
+
+    The direction and sparsity nets see (B*n, c) coordinate rows and the
+    step net (B, 3) norm rows.  Returns the next state and the tape (None
+    unless ``tape``).
+    """
+    x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
+    rows, n = x.shape
+    reg = reg_column(inst)
     d1, n1 = preprocess(subgrad_lasso(x, inst, ctx))
-    d2, n2 = preprocess(x - state.x_prev)
-    d3, n3 = preprocess(inst.reg * np.sign(x))
-    channels = np.stack([d1, d2, d1 * d2, d3], axis=1)
-    d_out, dir_tape = arch.direction_net.forward(channels)
-    direction = d_out[:, 0]
-    s_out, step_tape = arch.step_net.forward(np.array([n1, n2, n3]))
-    step_size = float(s_out[0])
-    x_tilde = x + step_size * direction
-    sp_in = np.stack([x_tilde, x, d3], axis=1)
-    a_out, sparse_tape = arch.sparsity_net.forward(sp_in)
-    z = _sigmoid(a_out[:, 0])
+    d2, n2 = preprocess(x - x_prev)
+    d3, n3 = preprocess(reg * np.sign(x))
+    channels = np.stack([d1, d2, d1 * d2, d3], axis=2).reshape(rows * n, 4)
+    d_out, dir_tape = arch.direction_net.forward(channels, tape)
+    direction = d_out.reshape(rows, n)
+    s_out, step_tape = arch.step_net.forward(np.stack([n1, n2, n3], axis=1), tape)
+    step_size = s_out[:, 0]
+    x_tilde = x + step_size[:, None] * direction
+    sp_in = np.stack([x_tilde, x, d3], axis=2).reshape(rows * n, 3)
+    a_out, sparse_tape = arch.sparsity_net.forward(sp_in, tape)
+    z = _sigmoid(a_out[:, 0]).reshape(rows, n)
     gated = z * x_tilde
-    thresh = arch.prox_tau * inst.reg
+    thresh = arch.prox_tau * reg
     y = soft_threshold(gated, thresh)
-    ny = float(np.linalg.norm(y))
-    # rescale so the prox does not change the norm; the zero vector stays put
-    x_next = y * (float(np.linalg.norm(x_tilde)) / ny) if ny > 0 else y
-    tape = _LassoStepTape(
-        dir_tape, step_tape, sparse_tape, direction, step_size, x_tilde, z, gated, thresh, y, inst.reg
+    ny = np.sqrt(row_dot(y, y))
+    # rescale so the prox does not change the norm; a zero row stays put
+    scale = np.divide(np.sqrt(row_dot(x_tilde, x_tilde)), ny, out=np.ones_like(ny), where=ny > 0)
+    x_next = (y * scale[:, None]).reshape(state.x_curr.shape)
+    next_state = AlgoState(x_curr=x_next, x_prev=state.x_curr)
+    if not tape:
+        return next_state, None
+    return next_state, _LassoStepTape(
+        dir_tape, step_tape, sparse_tape, direction, step_size, x_tilde, z, gated, thresh, y, reg
     )
-    return AlgoState(x_curr=x_next, x_prev=x), tape
 
 
 def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters."""
-    y, x_tilde = tape.y, tape.x_tilde
+    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape."""
+    y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
+    thresh, reg = tape.thresh.item(), tape.reg.item()
     ny = float(np.linalg.norm(y))
     nxt = float(np.linalg.norm(x_tilde))
     g_xt = np.zeros_like(x_tilde)
@@ -281,16 +312,16 @@ def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: 
             g_xt += float(u @ out_grad) * (x_tilde / nxt)
     else:
         g_y = np.asarray(out_grad, dtype=float)
-    active = np.abs(tape.gated) > tape.thresh
+    active = np.abs(gated) > thresh
     g_gated = g_y * active
-    g_prox_tau = -float((np.sign(tape.gated) * active) @ g_y) * tape.reg
+    g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
     g_z = g_gated * x_tilde
-    g_xt += g_gated * tape.z
-    g_a = g_z * tape.z * (1.0 - tape.z)
+    g_xt += g_gated * z
+    g_a = g_z * z * (1.0 - z)
     g_sp_in, sparse_wg = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
     g_xt += g_sp_in[:, 0]
-    g_s = float(tape.direction @ g_xt)
-    g_d = tape.step_size * g_xt
+    g_s = float(tape.direction[0] @ g_xt)
+    g_d = tape.step_size[0] * g_xt
     _, dir_wg = arch.direction_net.backward(tape.dir_tape, g_d[:, None])
     _, step_wg = arch.step_net.backward(tape.step_tape, np.array([g_s]))
     return np.concatenate(
@@ -312,25 +343,25 @@ def hbf_params(m_minus: float, L_plus: float) -> HbfParams:
     return HbfParams(tau=(2.0 / (sL + sm)) ** 2, beta=((sL - sm) / (sL + sm)) ** 2)
 
 
-def hbf_step(params: HbfParams, state: AlgoState, inst: QuadraticInstance) -> AlgoState:
+def hbf_step(params: HbfParams, state: AlgoState, inst) -> AlgoState:
     x = state.x_curr
     x_next = x - params.tau * grad_quadratic(x, inst) + params.beta * (x - state.x_prev)
     return AlgoState(x_curr=x_next, x_prev=x)
 
 
-def fista_step(state: FistaState, inst: LassoInstance, ctx: LassoClassContext) -> FistaState:
+def fista_step(state: FistaState, inst, ctx: LassoClassContext) -> FistaState:
     tau = 1.0 / ctx.lipschitz
     t_next = (1.0 + np.sqrt(1.0 + 4.0 * state.t_k**2)) / 2.0
     beta = (state.t_k - 1.0) / t_next
     y = state.x_curr + beta * (state.x_curr - state.x_prev)
-    x_next = soft_threshold(y - tau * smooth_grad_lasso(y, inst, ctx), tau * inst.reg)
+    x_next = soft_threshold(y - tau * smooth_grad_lasso(y, inst, ctx), tau * reg_column(inst))
     return FistaState(x_curr=x_next, x_prev=state.x_curr, t_k=t_next)
 
 
-def ista_step(state: AlgoState, inst: LassoInstance, ctx: LassoClassContext) -> AlgoState:
+def ista_step(state: AlgoState, inst, ctx: LassoClassContext) -> AlgoState:
     tau = 1.0 / ctx.lipschitz
     x = state.x_curr
-    x_next = soft_threshold(x - tau * smooth_grad_lasso(x, inst, ctx), tau * inst.reg)
+    x_next = soft_threshold(x - tau * smooth_grad_lasso(x, inst, ctx), tau * reg_column(inst))
     return AlgoState(x_curr=x_next, x_prev=x)
 
 
@@ -348,13 +379,88 @@ def run_algorithm(step, state0, loss_fn, k: int) -> tuple[list, np.ndarray]:
     return traj, np.asarray(losses)
 
 
+def reference_rollout(algo, instances, x0, k: int, step_seconds=None) -> np.ndarray:
+    """The per-instance loop behind ``rollout``: ``init_state``, then k ``step`` and ``loss`` calls.
+
+    Serves algorithms without a batched ``rollout`` method (any object with
+    ``init_state``, ``step`` and ``loss``).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    losses = np.full((len(instances), k + 1), np.inf)
+    clock = time.perf_counter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, inst in enumerate(instances):
+            state = algo.init_state(x0)
+            losses[i, 0] = algo.loss(state.x_curr, inst)
+            for j in range(k):
+                t0 = clock()
+                state = algo.step(state, inst)
+                if step_seconds is not None:
+                    step_seconds[j] += clock() - t0
+                if not np.all(np.isfinite(state.x_curr)):
+                    break
+                losses[i, j + 1] = algo.loss(state.x_curr, inst)
+    return losses
+
+
+def rollout(algo, instances, x0, k: int, step_seconds=None) -> np.ndarray:
+    """Losses of k steps from ``x0`` on each instance: a (B, k+1) matrix.
+
+    Column 0 holds the losses at ``x0``.  Once a row's iterate turns
+    non-finite, that row reads inf from there on.  When ``step_seconds`` (a
+    length-k array) is given, the wall time of step j, over all instances, is
+    added to its entry j.  Uses the algorithm's own batched ``rollout`` when
+    it has one, else ``reference_rollout``.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    batched = getattr(algo, "rollout", None)
+    if batched is not None:
+        return batched(instances, x0, k, step_seconds)
+    return reference_rollout(algo, instances, x0, k, step_seconds)
+
+
 # ---------------------------------------------------------------------------
 # uniform algorithm interface used by the training / certification pipeline
 # ---------------------------------------------------------------------------
 
 
-class QuadLearnedAlgo:
+class _RowBatched:
+    """Shared parts of the package algorithms, whose ``step`` and ``loss`` work on rows.
+
+    ``stack`` turns a list of instances into a batch; ``rollout`` then runs
+    all of them at once.  It keeps no tape and no trajectory, only the
+    (B, k+1) losses.
+    """
+
+    stack = None  # instances -> batch, set per problem class
+
+    def init_state(self, x0: np.ndarray) -> AlgoState:
+        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
+
+    def rollout(self, instances, x0, k: int, step_seconds=None) -> np.ndarray:
+        batch = self.stack(instances)
+        x = np.tile(np.asarray(x0, dtype=float), (len(instances), 1))
+        state = self.init_state(x)
+        losses = np.empty((len(instances), k + 1))
+        finite = np.ones(len(instances), dtype=bool)
+        clock = time.perf_counter
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses[:, 0] = self.loss(x, batch)
+            for j in range(k):
+                t0 = clock()
+                state = self.step(state, batch)
+                if step_seconds is not None:
+                    step_seconds[j] += clock() - t0
+                finite &= np.isfinite(state.x_curr).all(axis=1)
+                losses[:, j + 1] = np.where(finite, self.loss(state.x_curr, batch), np.inf)
+        return losses
+
+
+class QuadLearnedAlgo(_RowBatched):
     """Learned update rule bound to the quadratic problem class."""
+
+    stack = staticmethod(QuadraticBatch.stack)
 
     def __init__(self, arch: LearnedQuadArch):
         self.arch = arch
@@ -372,15 +478,11 @@ class QuadLearnedAlgo:
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedQuadArch.init(rng)
 
-    def init_state(self, x0: np.ndarray) -> AlgoState:
-        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst) -> float:
+    def loss(self, x: np.ndarray, inst):
         return loss_quadratic(x, inst)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
-        next_state, _ = quad_step_forward(self.arch, state, inst)
-        return next_state
+        return quad_step_forward(self.arch, state, inst, tape=False)[0]
 
     def step_with_tape(self, state: AlgoState, inst):
         return quad_step_forward(self.arch, state, inst)
@@ -392,8 +494,10 @@ class QuadLearnedAlgo:
         return grad_quadratic(x, inst)
 
 
-class LassoLearnedAlgo:
+class LassoLearnedAlgo(_RowBatched):
     """Learned update rule bound to the LASSO class (shared design matrix)."""
+
+    stack = staticmethod(LassoBatch.stack)
 
     def __init__(self, arch: LearnedLassoArch, ctx: LassoClassContext):
         self.arch = arch
@@ -412,15 +516,11 @@ class LassoLearnedAlgo:
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedLassoArch.init(rng, prox_tau=1.0 / self.ctx.lipschitz)
 
-    def init_state(self, x0: np.ndarray) -> AlgoState:
-        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst) -> float:
+    def loss(self, x: np.ndarray, inst):
         return loss_lasso(x, inst, self.ctx)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
-        next_state, _ = lasso_step_forward(self.arch, state, inst, self.ctx)
-        return next_state
+        return lasso_step_forward(self.arch, state, inst, self.ctx, tape=False)[0]
 
     def step_with_tape(self, state: AlgoState, inst):
         return lasso_step_forward(self.arch, state, inst, self.ctx)
@@ -432,57 +532,42 @@ class LassoLearnedAlgo:
         return subgrad_lasso(x, inst, self.ctx)
 
 
-class HbfAlgo:
+class HbfAlgo(_RowBatched):
+    stack = staticmethod(QuadraticBatch.stack)
+
     def __init__(self, params: HbfParams):
         self.params = params
 
-    def init_state(self, x0: np.ndarray) -> AlgoState:
-        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst) -> float:
+    def loss(self, x: np.ndarray, inst):
         return loss_quadratic(x, inst)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
         return hbf_step(self.params, state, inst)
 
 
-class GdAlgo:
-    def __init__(self, tau: float):
-        self.tau = tau
+class FistaAlgo(_RowBatched):
+    stack = staticmethod(LassoBatch.stack)
 
-    def init_state(self, x0: np.ndarray) -> AlgoState:
-        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst) -> float:
-        return loss_quadratic(x, inst)
-
-    def step(self, state: AlgoState, inst) -> AlgoState:
-        x = state.x_curr
-        return AlgoState(x_curr=x - self.tau * grad_quadratic(x, inst), x_prev=x)
-
-
-class FistaAlgo:
     def __init__(self, ctx: LassoClassContext):
         self.ctx = ctx
 
     def init_state(self, x0: np.ndarray) -> FistaState:
         return FistaState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
 
-    def loss(self, x: np.ndarray, inst) -> float:
+    def loss(self, x: np.ndarray, inst):
         return loss_lasso(x, inst, self.ctx)
 
     def step(self, state: FistaState, inst) -> FistaState:
         return fista_step(state, inst, self.ctx)
 
 
-class IstaAlgo:
+class IstaAlgo(_RowBatched):
+    stack = staticmethod(LassoBatch.stack)
+
     def __init__(self, ctx: LassoClassContext):
         self.ctx = ctx
 
-    def init_state(self, x0: np.ndarray) -> AlgoState:
-        return AlgoState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst) -> float:
+    def loss(self, x: np.ndarray, inst):
         return loss_lasso(x, inst, self.ctx)
 
     def step(self, state: AlgoState, inst) -> AlgoState:

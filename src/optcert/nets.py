@@ -68,8 +68,12 @@ class DenseNet:
             self.weights[i] = flat[off: off + W.size].reshape(W.shape)
             off += W.size
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, GradTape]:
-        """Forward pass; accepts a vector or a (batch, in_dim) matrix."""
+    def forward(self, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, GradTape | None]:
+        """Forward pass; accepts a vector or a (batch, in_dim) matrix.
+
+        With ``tape=False`` no layer inputs are kept, the rectifiers work in
+        place, and the returned tape is None.
+        """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         H = x[None, :] if squeeze else x
@@ -77,12 +81,13 @@ class DenseNet:
             raise ValueError(f"input dim {H.shape[1]} != net in-dim {self.in_dim}")
         inputs, pre_acts = [], []
         for W, act in zip(self.weights, self.activation_mask):
-            inputs.append(H)
             Z = H @ W.T
-            pre_acts.append(Z)
-            H = np.maximum(Z, 0.0) if act else Z
+            if tape:
+                inputs.append(H)
+                pre_acts.append(Z)
+            H = np.maximum(Z, 0.0, out=None if tape else Z) if act else Z
         out = H[0] if squeeze else H
-        return out, GradTape(inputs=inputs, pre_acts=pre_acts)
+        return out, (GradTape(inputs=inputs, pre_acts=pre_acts) if tape else None)
 
     def backward(self, tape: GradTape, out_grad: np.ndarray) -> tuple[np.ndarray, list]:
         """Exact reverse-mode pass; rectifier subgradient at 0 is 0."""

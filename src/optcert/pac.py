@@ -19,19 +19,21 @@ certificate is verified against the equivalent change-of-measure form
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sublevel import SublevelSpec, estimate_sublevel_probability, sublevel_threshold
+from .algorithms import rollout
+from .sublevel import SublevelSpec, estimate_from_rollout, sublevel_hits, sublevel_threshold
 
 __all__ = [
+    "CertificateMismatchError",
     "DiscreteMeasure",
     "SufficientStats",
     "PacConfig",
     "PacCertificate",
     "BoundedStatsSpec",
+    "sublevel_risk",
     "empirical_sublevel_risk",
     "phi_prior",
     "build_prior",
@@ -45,6 +47,10 @@ __all__ = [
     "certify",
     "point_estimate",
 ]
+
+
+class CertificateMismatchError(ArithmeticError):
+    """The grid objective and its change-of-measure form disagree at lambda*."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class PacCertificate:
     emp_risk: float  # posterior mean of the empirical sublevel risk
     emp_second: float  # posterior mean of the second-moment statistic
 
-    def to_json(self, **extra) -> str:
+    def to_dict(self, **extra) -> dict:
         obj = {
             "lambda_star": self.lambda_star,
             "bound": self.bound,
@@ -121,34 +127,29 @@ class PacCertificate:
             "emp_second": self.emp_second,
         }
         obj.update(extra)
-        return json.dumps(obj, indent=2)
+        return obj
 
 
-def empirical_sublevel_risk(
-    algo, instances, x0, k: int, spec: SublevelSpec, p_hat: float
-) -> tuple[float, float]:
-    """Plug-in conditional risk and second-moment term over a data split.
+def sublevel_risk(losses: np.ndarray, spec: SublevelSpec, p_hat: float) -> tuple[float, float]:
+    """Plug-in conditional risk and second-moment term from a (N, k+1) rollout loss matrix.
 
     Returns (risk, second_moment) where
       risk = (1 / p_hat) * mean(loss_k * 1_sublevel)
       second_moment = (1 / (p_hat^2 * N)) * mean(g^2 * 1_sublevel).
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(instances)
-    risk_sum = 0.0
-    sq_sum = 0.0
-    for inst in instances:
-        state = algo.init_state(x0)
-        for _ in range(k):
-            state = algo.step(state, inst)
-        final_loss = algo.loss(state.x_curr, inst)
-        g = sublevel_threshold(spec, algo.loss(x0, inst))
-        if np.isfinite(final_loss) and final_loss <= g:
-            risk_sum += final_loss
-            sq_sum += g * g
-    risk = risk_sum / (p_hat * n)
-    second = sq_sum / (p_hat**2 * n * n)
+    hits = sublevel_hits(losses, spec)
+    n = len(losses)
+    g = sublevel_threshold(spec, losses[hits, 0])
+    risk = float(np.sum(losses[hits, -1])) / (p_hat * n)
+    second = float(np.sum(g * g)) / (p_hat**2 * n * n)
     return risk, second
+
+
+def empirical_sublevel_risk(
+    algo, instances, x0, k: int, spec: SublevelSpec, p_hat: float
+) -> tuple[float, float]:
+    """``sublevel_risk`` of a k-step rollout over a data split."""
+    return sublevel_risk(rollout(algo, instances, x0, k), spec, p_hat)
 
 
 def phi_prior(risk: float, p_hat: float, spec: SublevelSpec) -> float:
@@ -214,6 +215,8 @@ def build_stats(
 
     The sublevel probability is estimated on the validation split; points
     whose estimate leaves [p_l, p_u] get phi = -inf and are later dropped.
+    One validation rollout per point gives both the estimate and the prior
+    score; feasible points add one training rollout for t1 and t2.
     Returns (stats, phi_prior, p_hat) over the full point list.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -226,7 +229,8 @@ def build_stats(
     try:
         for j, alpha in enumerate(points):
             algo.set_flat(np.asarray(alpha, dtype=float).copy())
-            res = estimate_sublevel_probability(algo, val_data, x0, k, spec, rng)
+            val_losses = rollout(algo, val_data, x0, k)
+            res = estimate_from_rollout(val_losses, spec, rng)
             p_hats[j] = res.point_estimate
             inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
             if not inside:
@@ -237,9 +241,7 @@ def build_stats(
             risk, second = empirical_sublevel_risk(
                 algo, train_data, x0, k, spec, res.point_estimate
             )
-            risk_prior, _ = empirical_sublevel_risk(
-                algo, val_data, x0, k, spec, res.point_estimate
-            )
+            risk_prior, _ = sublevel_risk(val_losses, spec, res.point_estimate)
             t1[j] = -risk
             t2[j] = second
             phi[j] = -risk_prior
@@ -248,16 +250,22 @@ def build_stats(
     return SufficientStats(t1=t1, t2=t2), phi, p_hats
 
 
-def kappa_tilde(lam: float, prior: DiscreteMeasure, stats: SufficientStats) -> float:
-    """log sum_j P_j exp(lam * t1_j - lam^2/2 * t2_j), computed stably."""
+def kappa_tilde(lam, prior: DiscreteMeasure, stats: SufficientStats):
+    """log sum_j P_j exp(lam * t1_j - lam^2/2 * t2_j), computed stably.
+
+    ``lam`` is a scalar (float result) or an array of temperatures (one
+    log-sum-exp per entry, same shape as ``lam``).
+    """
+    lam = np.asarray(lam, dtype=float)[..., None]
     exponent = lam * stats.t1 - 0.5 * lam * lam * stats.t2
-    shift = exponent.max()
-    return float(shift + np.log(np.sum(prior.weights * np.exp(exponent - shift))))
+    shift = exponent.max(axis=-1, keepdims=True)
+    lse = shift + np.log(np.sum(prior.weights * np.exp(exponent - shift), axis=-1, keepdims=True))
+    out = lse[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
-def pac_objective(
-    lam: float, prior: DiscreteMeasure, stats: SufficientStats, grid_size: int, eps: float
-) -> float:
+def pac_objective(lam, prior: DiscreteMeasure, stats: SufficientStats, grid_size: int, eps: float):
+    """F(lambda) for a scalar lambda or elementwise over an array of them."""
     return -(kappa_tilde(lam, prior, stats) - np.log(grid_size / eps)) / lam
 
 
@@ -266,9 +274,7 @@ def optimize_lambda(
 ) -> tuple[float, float]:
     """Grid argmin of the objective; ties resolve to the smaller lambda."""
     grid = cfg.lambda_grid()
-    values = np.array(
-        [pac_objective(l, prior, stats, len(grid), cfg.eps_pac) for l in grid]
-    )
+    values = pac_objective(grid, prior, stats, len(grid), cfg.eps_pac)
     idx = int(np.argmin(values))  # argmin takes the first (smallest) on ties
     return float(grid[idx]), float(values[idx])
 
@@ -303,7 +309,9 @@ def certify(
     """Optimize the temperature and emit the certificate.
 
     The bound is cross-checked against its change-of-measure form, which
-    must agree to high relative accuracy for the Gibbs posterior.
+    must agree to high relative accuracy for the Gibbs posterior; a
+    disagreement, including a NaN on either side, raises
+    CertificateMismatchError.
     """
     lam, bound = optimize_lambda(prior, stats, cfg)
     posterior = build_posterior(lam, prior, stats)
@@ -312,8 +320,8 @@ def certify(
     q_t2 = float(posterior.weights @ stats.t2)
     explicit = -q_t1 + (kl + np.log(cfg.grid_size / cfg.eps_pac) + 0.5 * lam * lam * q_t2) / lam
     scale = max(abs(bound), abs(explicit), 1.0)
-    if abs(explicit - bound) > 1e-8 * scale:
-        raise AssertionError(
+    if not abs(explicit - bound) <= 1e-8 * scale:
+        raise CertificateMismatchError(
             f"certificate mismatch: grid objective {bound!r} vs explicit {explicit!r}"
         )
     return PacCertificate(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,8 +27,9 @@ from .algorithms import (
     QuadLearnedAlgo,
     hbf_params,
     ratio_step,
+    rollout,
 )
-from .pac import PacConfig, build_prior, build_stats, certify
+from .pac import PacConfig, SufficientStats, build_prior, build_stats, certify
 from .prior_training import (
     LocateConfig,
     StageConfig,
@@ -45,7 +46,7 @@ from .problems import (
     split_dataset,
 )
 from .sampler import NoFeasiblePointError, SampleSet, SgldConfig, constrained_sample
-from .sublevel import SublevelSpec, estimate_sublevel_probability
+from .sublevel import SublevelSpec, estimate_from_rollout
 
 __all__ = [
     "ExperimentConfig",
@@ -168,7 +169,21 @@ def _load_json(path: Path):
 
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj))
+    """Write ``obj`` atomically: a temporary file in the same directory, then a rename.
+
+    A failure or a kill part-way leaves no ``path`` behind, so the next run
+    recomputes the stage instead of reading a truncated artifact.  The JSON
+    is streamed to the file rather than built as one string first, which
+    keeps the peak memory of the multi-megabyte LASSO artifacts down.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run_stage(name: str, out_dir: Path, compute):
@@ -203,24 +218,16 @@ class EvaluationReport:
 
 
 def _run_losses(algo, instances, x0, k: int, repeats: int = 3):
-    """Loss trajectories plus cumulative per-iteration wall time.
+    """Loss matrix plus cumulative per-iteration wall time.
 
-    Timing is the median over ``repeats`` repetitions of the run.
+    The time of iteration j is that of step j over the whole instance list
+    (one batched step for the package algorithms), median over ``repeats``
+    rollouts.
     """
-    x0 = np.asarray(x0, dtype=float)
-    losses = np.empty((len(instances), k + 1))
-    all_times = np.zeros((repeats, k))
+    times = np.zeros((repeats, k))
     for r in range(repeats):
-        for i, inst in enumerate(instances):
-            state = algo.init_state(x0)
-            losses[i, 0] = algo.loss(state.x_curr, inst)
-            for j in range(k):
-                t0 = time.perf_counter()
-                state = algo.step(state, inst)
-                all_times[r, j] += time.perf_counter() - t0
-                with np.errstate(over="ignore", invalid="ignore"):
-                    losses[i, j + 1] = algo.loss(state.x_curr, inst)
-    return losses, np.cumsum(np.median(all_times, axis=0))
+        losses = rollout(algo, instances, x0, k, step_seconds=times[r])
+    return losses, np.cumsum(np.median(times, axis=0))
 
 
 def evaluate(
@@ -235,7 +242,7 @@ def evaluate(
 ) -> EvaluationReport:
     learned_losses, learned_ct = _run_losses(learned, test_data, x0, k)
     baseline_losses, baseline_ct = _run_losses(baseline, test_data, x0, k)
-    res = estimate_sublevel_probability(learned, test_data, x0, k, spec, rng)
+    res = estimate_from_rollout(learned_losses, spec, rng)
     return EvaluationReport(
         learned_losses=learned_losses,
         baseline_losses=baseline_losses,
@@ -344,18 +351,13 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
             sample_record = run_stage(
                 "samples",
                 out_dir,
-                lambda: json.loads(
-                    constrained_sample(
-                        learned, splits.prior, splits.val, x0, spec, cfg.sgld_config(), rng
-                    ).to_json()
-                ),
+                lambda: constrained_sample(
+                    learned, splits.prior, splits.val, x0, spec, cfg.sgld_config(), rng
+                ).to_dict(),
             )
         except NoFeasiblePointError as exc:
             raise ConstraintNotFoundError(str(exc)) from exc
-        samples = SampleSet(
-            points=[np.asarray(p, dtype=float) for p in sample_record["points"]],
-            estimates=list(sample_record["estimates"]),
-        )
+        samples = SampleSet.from_dict(sample_record)
         if until == "samples":
             return sample_record
 
@@ -408,20 +410,15 @@ def _stage_certify(learned, samples, splits, x0, cfg, spec, rng):
     prior, kept = build_prior(phi)
     if len(kept) == 0:
         raise ConstraintNotFoundError("every sampled point left the feasible band")
-    from .pac import SufficientStats
-
     kept_stats = SufficientStats(t1=stats.t1[kept], t2=stats.t2[kept])
     cert = certify(prior, kept_stats, pac_cfg)
     point_alpha = samples.points[kept[cert.point_index]]
-    record = json.loads(
-        cert.to_json(
-            config_hash=cfg.hash(),
-            kept_indices=kept.tolist(),
-            p_hats=p_hats.tolist(),
-            point_alpha=np.asarray(point_alpha, dtype=float).tolist(),
-        )
+    return cert.to_dict(
+        config_hash=cfg.hash(),
+        kept_indices=kept.tolist(),
+        p_hats=p_hats.tolist(),
+        point_alpha=np.asarray(point_alpha, dtype=float).tolist(),
     )
-    return record
 
 
 def _stage_report(learned, baseline, splits, x0, cfg, spec, bound, rng, out_dir):

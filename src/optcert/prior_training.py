@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ratio_step
+from .algorithms import ratio_step, rollout
 from .nets import AdamState, adam_step
 from .sublevel import SublevelSpec, estimate_sublevel_probability
 
@@ -217,16 +217,8 @@ class LocateConfig:
 
 
 def _median_final_loss(algo, instances, x0, k: int) -> float:
-    finals = []
-    for inst in instances:
-        state = algo.init_state(x0)
-        for _ in range(k):
-            state = algo.step(state, inst)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finals.append(algo.loss(state.x_curr, inst))
-    finals = np.asarray(finals)
-    finals = np.where(np.isfinite(finals), finals, np.inf)
-    return float(np.median(finals))
+    finals = rollout(algo, instances, x0, k)[:, -1]
+    return float(np.median(np.where(np.isfinite(finals), finals, np.inf)))
 
 
 def locate_prior(

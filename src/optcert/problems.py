@@ -10,6 +10,11 @@ Two problem classes are supported:
 
 Generators are pure functions of (config, seed): the Gaussian used for the
 right-hand sides is drawn once per call and reused for every instance.
+
+The loss and gradient functions take either one iterate (a vector) with one
+instance, or a (B, n) matrix of iterates with a ``QuadraticBatch`` or
+``LassoBatch`` of B instances stacked row by row.  A batch of one gives the
+same bits as the single-instance call.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ __all__ = [
     "QuadraticInstance",
     "LassoInstance",
     "LassoClassContext",
+    "QuadraticBatch",
+    "LassoBatch",
     "DatasetSplit",
     "loss_quadratic",
     "grad_quadratic",
@@ -94,6 +101,36 @@ class LassoClassContext:
 
 
 @dataclass(frozen=True)
+class QuadraticBatch:
+    """Quadratic instances stacked row-wise: ``diag`` and ``rhs`` of shape (B, n)."""
+
+    diag: np.ndarray
+    rhs: np.ndarray
+
+    @classmethod
+    def stack(cls, instances) -> "QuadraticBatch":
+        return cls(
+            diag=np.stack([inst.diag for inst in instances]),
+            rhs=np.stack([inst.rhs for inst in instances]),
+        )
+
+
+@dataclass(frozen=True)
+class LassoBatch:
+    """LASSO instances stacked row-wise: ``rhs`` (B, p) and ``reg`` (B,); the design is shared."""
+
+    rhs: np.ndarray
+    reg: np.ndarray
+
+    @classmethod
+    def stack(cls, instances) -> "LassoBatch":
+        return cls(
+            rhs=np.stack([inst.rhs for inst in instances]),
+            reg=np.array([inst.reg for inst in instances], dtype=float),
+        )
+
+
+@dataclass(frozen=True)
 class DatasetSplit:
     """Disjoint prior/train/val/test instance lists."""
 
@@ -107,40 +144,58 @@ class DatasetSplit:
         return (len(self.prior), len(self.train), len(self.val), len(self.test))
 
 
-def loss_quadratic(x: np.ndarray, inst: QuadraticInstance) -> float:
+def row_dot(u: np.ndarray, v: np.ndarray):
+    """``u @ v`` for vectors (a float), or one such dot product per row of two (B, n) matrices."""
+    if u.ndim == 1:
+        return float(u @ v)
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _check_quadratic(x, inst) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != inst.diag.shape:
+    if x.shape[-1] != inst.diag.shape[-1]:
         raise ValueError(f"dimension mismatch: x has {x.shape}, instance has {inst.diag.shape}")
+    return x
+
+
+def _check_lasso(x, ctx: LassoClassContext) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != ctx.design.shape[1]:
+        raise ValueError("dimension mismatch between x and design matrix")
+    return x
+
+
+def loss_quadratic(x: np.ndarray, inst: QuadraticInstance):
+    x = _check_quadratic(x, inst)
     r = inst.diag * x - inst.rhs
-    return 0.5 * float(r @ r)
+    return 0.5 * row_dot(r, r)
 
 
 def grad_quadratic(x: np.ndarray, inst: QuadraticInstance) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != inst.diag.shape:
-        raise ValueError(f"dimension mismatch: x has {x.shape}, instance has {inst.diag.shape}")
+    x = _check_quadratic(x, inst)
     return inst.diag * (inst.diag * x - inst.rhs)
 
 
-def loss_lasso(x: np.ndarray, inst: LassoInstance, ctx: LassoClassContext) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != ctx.design.shape[1]:
-        raise ValueError("dimension mismatch between x and design matrix")
-    r = ctx.design @ x - inst.rhs
-    return 0.5 * float(r @ r) + inst.reg * float(np.sum(np.abs(x)))
+def loss_lasso(x: np.ndarray, inst: LassoInstance, ctx: LassoClassContext):
+    x = _check_lasso(x, ctx)
+    r = x @ ctx.design.T - inst.rhs
+    return 0.5 * row_dot(r, r) + inst.reg * np.sum(np.abs(x), axis=-1)
 
 
 def subgrad_lasso(x: np.ndarray, inst: LassoInstance, ctx: LassoClassContext) -> np.ndarray:
     """Subgradient with the backpropagation convention sign(0) = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != ctx.design.shape[1]:
-        raise ValueError("dimension mismatch between x and design matrix")
-    return ctx.design.T @ (ctx.design @ x - inst.rhs) + inst.reg * np.sign(x)
+    x = _check_lasso(x, ctx)
+    return smooth_grad_lasso(x, inst, ctx) + reg_column(inst) * np.sign(x)
 
 
 def smooth_grad_lasso(x: np.ndarray, inst: LassoInstance, ctx: LassoClassContext) -> np.ndarray:
     """Gradient of the smooth part only, as used by (F)ISTA."""
-    return ctx.design.T @ (ctx.design @ x - inst.rhs)
+    return (x @ ctx.design.T - inst.rhs) @ ctx.design
+
+
+def reg_column(inst) -> np.ndarray:
+    """The regularization weight shaped to scale a vector, or each row of a batch."""
+    return np.asarray(inst.reg, dtype=float)[..., None]
 
 
 def _interp_diag(m: float, L: float, n: int) -> np.ndarray:

@@ -9,7 +9,6 @@ according to their (negated) penalized risk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +48,14 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "points": [p.tolist() for p in self.points],
-                "estimates": list(map(float, self.estimates)),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "points": [p.tolist() for p in self.points],
+            "estimates": list(map(float, self.estimates)),
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "SampleSet":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "SampleSet":
         return cls(
             points=[np.asarray(p, dtype=float) for p in obj["points"]],
             estimates=list(obj["estimates"]),

@@ -5,6 +5,11 @@ probability that a hyperparameter reaches the sublevel set is estimated
 sequentially: starting from the noninformative Beta(1, 1) prior, Bernoulli
 outcomes update the posterior until the (q_l, q_u) quantile interval is
 narrower than ``width_tol`` or the draw budget is exhausted.
+
+Membership is read off a rollout loss matrix (see ``algorithms.rollout``):
+for a fixed hyperparameter the outcome on an instance is deterministic, so
+an estimate rolls every instance out once and its draws with replacement
+become index lookups.
 """
 
 from __future__ import annotations
@@ -14,14 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
+from .algorithms import rollout
+
 __all__ = [
     "SublevelSpec",
     "BetaPosterior",
     "EstimateResult",
     "sublevel_threshold",
+    "sublevel_hits",
     "sublevel_indicator",
     "beta_quantile",
     "estimate_probability",
+    "estimate_from_rollout",
     "estimate_sublevel_probability",
 ]
 
@@ -74,22 +83,20 @@ class EstimateResult:
     conclusive: bool
 
 
-def sublevel_threshold(spec: SublevelSpec, initial_loss: float) -> float:
-    """Threshold g = a * loss(x0)^b for one instance's loss at the start point."""
-    return spec.g_scale * float(initial_loss) ** spec.g_exponent
+def sublevel_threshold(spec: SublevelSpec, initial_loss):
+    """Threshold g = a * loss(x0)^b for one start loss, or elementwise for an array of them."""
+    return spec.g_scale * np.asarray(initial_loss, dtype=float) ** spec.g_exponent
+
+
+def sublevel_hits(losses: np.ndarray, spec: SublevelSpec) -> np.ndarray:
+    """Per row of a (B, k+1) rollout loss matrix: is the final loss finite and within g?"""
+    final = losses[:, -1]
+    return np.isfinite(final) & (final <= sublevel_threshold(spec, losses[:, 0]))
 
 
 def sublevel_indicator(algo, inst, x0: np.ndarray, k: int, spec: SublevelSpec) -> bool:
     """Run k update steps and test whether the final loss is within the threshold."""
-    g = sublevel_threshold(spec, algo.loss(np.asarray(x0, dtype=float), inst))
-    state = algo.init_state(x0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            state = algo.step(state, inst)
-            if not np.all(np.isfinite(state.x_curr)):
-                return False
-        final = algo.loss(state.x_curr, inst)
-    return bool(np.isfinite(final) and final <= g)
+    return bool(sublevel_hits(rollout(algo, [inst], x0, k), spec)[0])
 
 
 def beta_quantile(post: BetaPosterior, q: float) -> float:
@@ -119,15 +126,29 @@ def estimate_probability(bernoulli_stream, spec: SublevelSpec) -> EstimateResult
     return EstimateResult(post.mean, post, draws, conclusive=True)
 
 
-def estimate_sublevel_probability(
-    algo, instances, x0: np.ndarray, k: int, spec: SublevelSpec, rng: np.random.Generator
+def estimate_from_rollout(
+    losses: np.ndarray, spec: SublevelSpec, rng: np.random.Generator
 ) -> EstimateResult:
-    """Estimate p(alpha) by running the algorithm on instances drawn with
-    replacement from the validation set."""
+    """Estimate p(alpha) from the rollout loss matrix of a set of instances.
+
+    Each draw picks a row with replacement, one ``rng.integers`` call per
+    draw, and reads its sublevel outcome.
+    """
+    hits = sublevel_hits(losses, spec)
 
     def stream():
         while True:
-            inst = instances[rng.integers(len(instances))]
-            yield 1 if sublevel_indicator(algo, inst, x0, k, spec) else 0
+            yield int(hits[rng.integers(len(hits))])
 
     return estimate_probability(stream(), spec)
+
+
+def estimate_sublevel_probability(
+    algo, instances, x0: np.ndarray, k: int, spec: SublevelSpec, rng: np.random.Generator
+) -> EstimateResult:
+    """Estimate p(alpha) from instances drawn with replacement from ``instances``.
+
+    Every instance is rolled out once; the draws and the rng stream are the
+    same as with one rollout per draw.
+    """
+    return estimate_from_rollout(rollout(algo, instances, x0, k), spec, rng)

@@ -4,6 +4,7 @@ import pytest
 from optcert.algorithms import AlgoState
 from optcert.pac import (
     BoundedStatsSpec,
+    CertificateMismatchError,
     DiscreteMeasure,
     PacConfig,
     SufficientStats,
@@ -202,13 +203,21 @@ class TestCertify:
             assert np.isfinite(cert.bound)
             assert cert.bound >= -float(cert.posterior.weights @ stats.t1) - 1e-12
 
+    def test_nonfinite_statistic_raises_named_mismatch(self):
+        # the Gibbs posterior drops the -inf point, but its 0 * -inf term
+        # makes the change-of-measure form NaN while the grid objective is finite
+        prior = DiscreteMeasure(np.array([0.5, 0.5]))
+        stats = SufficientStats(t1=np.array([-1.0, -np.inf]), t2=np.array([0.1, 0.1]))
+        with np.errstate(invalid="ignore"), pytest.raises(CertificateMismatchError):
+            certify(prior, stats, PacConfig(grid_size=200))
+
     def test_json_payload(self):
         import json
 
         prior = DiscreteMeasure(np.array([1.0]))
         stats = SufficientStats(t1=np.array([-1.0]), t2=np.array([0.1]))
         cert = certify(prior, stats, PacConfig())
-        obj = json.loads(cert.to_json(config_hash="abc"))
+        obj = json.loads(json.dumps(cert.to_dict(config_hash="abc")))
         assert obj["config_hash"] == "abc"
         assert obj["bound"] == pytest.approx(cert.bound)
         assert obj["weights"] == [1.0]

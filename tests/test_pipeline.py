@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from optcert import pipeline
 from optcert.cli import main
 from optcert.pipeline import (
     ExperimentConfig,
     STAGE_ORDER,
+    StageError,
     run_pipeline,
     run_stage,
 )
@@ -133,6 +135,35 @@ class TestPipeline:
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ValueError):
             run_pipeline(tiny_config(), tmp_path, until="nonsense")
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize("failure", ["serialise", "rename"])
+    def test_failed_write_leaves_nothing_and_rerun_recomputes(
+        self, completed_run, tmp_path, monkeypatch, failure
+    ):
+        if failure == "serialise":
+            certify_stage = pipeline._stage_certify
+            monkeypatch.setattr(
+                pipeline, "_stage_certify", lambda *a: {**certify_stage(*a), "extra": object()}
+            )
+        else:
+            real_replace = pipeline.os.replace
+
+            def replace(src, dst):
+                if Path(dst).name == "certificate.json":
+                    raise OSError("simulated crash before the rename")
+                real_replace(src, dst)
+
+            monkeypatch.setattr(pipeline.os, "replace", replace)
+        with pytest.raises(StageError):
+            run_pipeline(tiny_config(), tmp_path, until="certificate")
+        assert not (tmp_path / "certificate.json").exists()
+        assert not list(tmp_path.glob(".*.tmp"))
+        monkeypatch.undo()
+        rerun = run_pipeline(tiny_config(), tmp_path, until="certificate")
+        out, _ = completed_run
+        assert rerun == json.loads((out / "certificate.json").read_text())
 
 
 class TestDataStage:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ class TestSgldStep:
 class TestSampleSet:
     def test_json_roundtrip(self):
         s = SampleSet(points=[np.array([1.0, 2.0]), np.array([3.0, 4.0])], estimates=[0.97, 0.99])
-        r = SampleSet.from_json(s.to_json())
+        r = SampleSet.from_dict(json.loads(json.dumps(s.to_dict())))
         assert len(r) == 2
         np.testing.assert_array_equal(r.points[1], [3.0, 4.0])
         assert r.estimates == [0.97, 0.99]
