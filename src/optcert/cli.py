@@ -76,7 +76,6 @@ _stage_command("locate-prior", "prior_location", "Find a feasible prior mean und
 _stage_command("sample-prior", "samples", "Sample the prior support with constrained Langevin proposals.")
 _stage_command("posterior", "certificate", "Build the posterior and compute the certified bound.")
 _stage_command("evaluate", "report", "Run the full pipeline and evaluate on the test split.")
-_stage_command("report", "report", "Alias of evaluate: emit plot data and the summary record.")
 
 
 if __name__ == "__main__":

@@ -109,7 +109,11 @@ class DenseNet:
 
 @dataclass
 class AdamState:
-    """Moment estimates and counters of the standard bias-corrected update."""
+    """Moment estimates and counters of the standard bias-corrected update.
+
+    ``adam_step`` updates the moments in place and keeps two scratch
+    buffers here, so a step allocates no arrays.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -118,6 +122,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
+    scratch: tuple = field(default=(), repr=False)
 
     @classmethod
     def zeros(cls, dim: int, lr: float = 1e-3, **kwargs) -> "AdamState":
@@ -125,19 +130,39 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One Adam update; returns new params, mutates and returns the state."""
+    """One Adam update of ``params`` in place; returns the params and the mutated state.
+
+    The operations are those of the textbook update, in the same order, so
+    the result is bit-identical to ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError("params/grads/state length mismatch")
+    if not state.scratch:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    s1, s2 = state.scratch
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * grads
-    state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * grads**2
-    m_hat = state.first_moment / (1 - state.beta1**t)
-    v_hat = state.second_moment / (1 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    return new_params, state
+    m, v = state.first_moment, state.second_moment
+    # m = beta1 * m + (1 - beta1) * g
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(grads, 1 - state.beta1, out=s1)
+    np.add(m, s1, out=m)
+    # v = beta2 * v + (1 - beta2) * g**2
+    np.multiply(v, state.beta2, out=v)
+    np.square(grads, out=s1)
+    np.multiply(s1, 1 - state.beta2, out=s1)
+    np.add(v, s1, out=v)
+    # params -= lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1 - state.beta1**t, out=s1)
+    np.multiply(s1, state.lr, out=s1)
+    np.divide(v, 1 - state.beta2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, state.eps_hat, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.subtract(params, s1, out=params)
+    return params, state
 
 
 def finite_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -152,7 +152,8 @@ def _make_algos(cfg: ExperimentConfig, ctx, rng):
     return learned, baseline
 
 
-def _gen_data(cfg: ExperimentConfig):
+def _gen_data(cfg: ExperimentConfig) -> dict:
+    """The data record: the LASSO context (None for quadratics) and every instance."""
     total = sum(cfg.sizes)
     if cfg.problem == "quadratic":
         instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
@@ -161,7 +162,10 @@ def _gen_data(cfg: ExperimentConfig):
         ctx, instances = gen_lasso(
             total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed
         )
-    return ctx, instances
+    return {
+        "context": context_to_json(ctx) if ctx is not None else None,
+        "instances": [instance_to_json(i) for i in instances],
+    }
 
 
 def _load_json(path: Path):
@@ -307,17 +311,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     spec = cfg.sublevel_spec()
     x0 = np.zeros(cfg.dim)
 
-    ctx, instances = _gen_data(cfg)
-    data_record = run_stage(
-        "data",
-        out_dir,
-        lambda: {
-            "context": context_to_json(ctx) if ctx is not None else None,
-            "instances": [instance_to_json(i) for i in instances],
-        },
-    )
-    if ctx is None and data_record["context"] is not None:
-        ctx = context_from_json(data_record["context"])
+    # instances and LASSO context both come from the artifact; JSON keeps
+    # every bit of a float, so they equal the generated data
+    data_record = run_stage("data", out_dir, lambda: _gen_data(cfg))
+    ctx = data_record["context"]
+    if ctx is not None:
+        ctx = context_from_json(ctx)
     instances = [instance_from_json(o) for o in data_record["instances"]]
     splits = split_dataset(instances, cfg.sizes)
     if until == "data":
@@ -407,9 +406,9 @@ def _stage_certify(learned, samples, splits, x0, cfg, spec, rng):
     stats, phi, p_hats = build_stats(
         learned, samples.points, splits.train, splits.val, x0, cfg.n_train, spec, rng
     )
-    prior, kept = build_prior(phi)
-    if len(kept) == 0:
+    if not np.isfinite(phi).any():
         raise ConstraintNotFoundError("every sampled point left the feasible band")
+    prior, kept = build_prior(phi)
     kept_stats = SufficientStats(t1=stats.t1[kept], t2=stats.t2[kept])
     cert = certify(prior, kept_stats, pac_cfg)
     point_alpha = samples.points[kept[cert.point_index]]

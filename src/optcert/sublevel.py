@@ -10,14 +10,20 @@ Membership is read off a rollout loss matrix (see ``algorithms.rollout``):
 for a fixed hyperparameter the outcome on an instance is deterministic, so
 an estimate rolls every instance out once and its draws with replacement
 become index lookups.
+
+The Beta quantiles are computed with the standard library alone: the
+regularized incomplete beta function is a continued fraction, inverted by
+safeguarded Newton (Halley) steps, and memoized, because a run asks for the
+same few hundred (a, b, q) triples thousands of times.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .algorithms import rollout
 
@@ -28,6 +34,7 @@ __all__ = [
     "sublevel_threshold",
     "sublevel_hits",
     "sublevel_indicator",
+    "beta_ppf",
     "beta_quantile",
     "estimate_probability",
     "estimate_from_rollout",
@@ -99,9 +106,130 @@ def sublevel_indicator(algo, inst, x0: np.ndarray, k: int, spec: SublevelSpec) -
     return bool(sublevel_hits(rollout(algo, [inst], x0, k), spec)[0])
 
 
+_EPS = 2.0**-52
+_TINY = 1e-300
+_MAX_TERMS = 10_000  # continued-fraction terms; far more than a, b <= 1e4 need
+_MAX_STEPS = 200
+_XTOL = 1e-8  # a Halley step this small, relative to min(x, 1 - x), lands at rounding level
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of ``I_x(a, b)`` by the modified Lentz method.
+
+    It converges quickly for ``x < (a + 1) / (a + b + 2)``.
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, _MAX_TERMS + 1):
+        m2 = 2 * m
+        # even term
+        coef = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coef / c
+        if abs(c) < _TINY:
+            c = _TINY
+        h *= d * c
+        # odd term
+        coef = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coef / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    return h
+
+
+def _cdf_residual(a: float, b: float, x: float, q: float, log_beta: float) -> float:
+    """``I_x(a, b) - q`` for 0 < x < 1, where ``I_x`` is the CDF of Beta(a, b).
+
+    Above (a + 1) / (a + b + 2) the CDF is ``1 - I_{1-x}(b, a)``; the residual
+    is then formed as ``(1 - q) - I_{1-x}(b, a)``, which keeps the digits of
+    an upper-tail q that ``1 - I_{1-x}(b, a) - q`` would round away.
+    """
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a - q
+    return (1.0 - q) - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def _initial_guess(a: float, b: float, q: float) -> float:
+    """Starting point: a normal-deviate approximation for a, b >= 1, else the tails."""
+    if a >= 1.0 and b >= 1.0:
+        # standard normal quantile, Abramowitz & Stegun 26.2.22 (error < 3e-3)
+        t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        if q < 0.5:
+            z = -z
+        # Beta quantile from the normal deviate, Abramowitz & Stegun 26.5.22
+        lam = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = -z * math.sqrt(h + lam) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+            lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
+        )
+        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    else:
+        # CDF ~ x^a / (a B) near 0 and 1 - (1 - x)^b / (b B) near 1
+        lower = math.exp(a * math.log(a / (a + b))) / a
+        upper = math.exp(b * math.log(b / (a + b))) / b
+        total = lower + upper
+        if q < lower / total:
+            x = (a * total * q) ** (1.0 / a)
+        else:
+            x = 1.0 - (b * total * (1.0 - q)) ** (1.0 / b)
+    return min(max(x, math.ulp(0.0)), 1.0 - 2.0**-53)  # strictly inside (0, 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def beta_ppf(a: float, b: float, q: float) -> float:
+    """Inverse CDF of Beta(a, b) at q, memoized; ``beta_ppf.__wrapped__`` is uncached.
+
+    Halley steps (Newton's step corrected by the curvature of the CDF) on
+    ``I_x(a, b) = q`` from an approximate start; a step that would leave the
+    bracket known to hold the root is replaced by bisection.
+    """
+    if not (a > 0.0 and b > 0.0 and 0.0 < q < 1.0):
+        raise ValueError(f"need a, b > 0 and 0 < q < 1, got a={a}, b={b}, q={q}")
+    log_beta = _log_beta(a, b)
+    lo, hi = 0.0, 1.0
+    x = _initial_guess(a, b, q)
+    for _ in range(_MAX_STEPS):
+        f = _cdf_residual(a, b, x, q, log_beta)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        log_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta
+        step = f * math.exp(min(-log_pdf, 700.0))  # f / pdf, without overflow
+        # Halley's correction from the log-derivative of the pdf
+        bend = 0.5 * step * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
+        if bend < 1.0:
+            step /= 1.0 - max(bend, -1.0)
+        if abs(step) <= _XTOL * min(x, 1.0 - x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # no float left between the bracket ends
+                return x
+    return x
+
+
 def beta_quantile(post: BetaPosterior, q: float) -> float:
     """Inverse CDF of Beta(count_a, count_b)."""
-    return float(betaincinv(post.count_a, post.count_b, q))
+    return beta_ppf(post.count_a, post.count_b, q)
 
 
 def _interval_width(post: BetaPosterior, spec: SublevelSpec) -> float:

@@ -122,7 +122,7 @@ class TestAdam:
     def test_zero_grad_zero_moments_unchanged(self):
         st = AdamState.zeros(3, lr=0.1)
         p = np.array([1.0, 2.0, 3.0])
-        new, st = adam_step(st, p, np.zeros(3))
+        new, st = adam_step(st, p.copy(), np.zeros(3))
         np.testing.assert_array_equal(new, p)
 
     def test_first_step_decreases_by_lr(self):
@@ -131,6 +131,26 @@ class TestAdam:
         new, st = adam_step(st, p, np.array([1.0, 2.0]))
         # bias-corrected ratio is 1 at t=1, so the move is about -lr
         np.testing.assert_allclose(new, [-0.05, -0.05], rtol=1e-6)
+
+    def test_in_place_update_is_bit_identical_to_textbook(self):
+        rng = np.random.default_rng(5)
+        dim, lr = 257, 0.01
+        st = AdamState.zeros(dim, lr=lr)
+        params = rng.standard_normal(dim)
+        ref, m, v = params.copy(), np.zeros(dim), np.zeros(dim)
+        for t in range(1, 13):
+            g = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 3)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g**2
+            ref = ref - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            out, st = adam_step(st, params, g)
+            assert out is params and st.step_count == t
+            assert params.tobytes() == ref.tobytes()
+            assert st.first_moment.tobytes() == m.tobytes()
+            assert st.second_moment.tobytes() == v.tobytes()
+            if t % 4 == 0:  # the lr decay of the training loops
+                st.lr *= 0.5
+                lr *= 0.5
 
     def test_length_mismatch(self):
         st = AdamState.zeros(2)

@@ -1,4 +1,6 @@
 import json
+import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 from optcert import pipeline
 from optcert.cli import main
 from optcert.pipeline import (
+    ConstraintNotFoundError,
     ExperimentConfig,
     STAGE_ORDER,
     StageError,
@@ -166,6 +169,37 @@ class TestAtomicArtifacts:
         assert rerun == json.loads((out / "certificate.json").read_text())
 
 
+class TestInfeasibleSupport:
+    """Every support point outside the band is a constraint failure (exit 2), not a stage failure."""
+
+    @pytest.fixture
+    def before_certificate(self, completed_run, tmp_path, monkeypatch):
+        out, _ = completed_run
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("certificate")]:
+            shutil.copy(out / f"{stage}.json", tmp_path)
+        build_stats = pipeline.build_stats
+
+        def all_infeasible(*args, **kwargs):
+            stats, phi, p_hats = build_stats(*args, **kwargs)
+            return stats, np.full_like(phi, -np.inf), p_hats
+
+        monkeypatch.setattr(pipeline, "build_stats", all_infeasible)
+        return tmp_path
+
+    def test_run_raises_constraint_not_found(self, before_certificate):
+        with pytest.raises(ConstraintNotFoundError, match="feasible band"):
+            run_pipeline(tiny_config(), before_certificate, until="certificate")
+        assert not (before_certificate / "certificate.json").exists()
+
+    def test_posterior_command_exits_two(self, before_certificate):
+        cfg_path = before_certificate / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(tiny_config())))
+        res = CliRunner().invoke(
+            main, ["posterior", "--config", str(cfg_path), "--out", str(before_certificate)]
+        )
+        assert res.exit_code == 2, res.output
+
+
 class TestDataStage:
     def test_split_isolation(self, tmp_path):
         record = run_pipeline(tiny_config(), tmp_path, until="data")
@@ -174,6 +208,15 @@ class TestDataStage:
         # serialized instances are all distinct draws
         texts = {json.dumps(i, sort_keys=True) for i in instances}
         assert len(texts) == 40
+
+    def test_resume_reads_instances_without_generating(self, completed_run, monkeypatch):
+        out, record = completed_run
+
+        def generate(*args, **kwargs):
+            raise AssertionError("instances generated although data.json exists")
+
+        monkeypatch.setattr(pipeline, "gen_quadratics", generate)
+        assert run_pipeline(tiny_config(), out, until="report") == record
 
     def test_lasso_data(self, tmp_path):
         cfg = tiny_config(problem="lasso", dim=6, design_rows=4,
@@ -198,8 +241,6 @@ class TestCli:
     def test_full_run_summary(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = tiny_config()
-        from dataclasses import asdict
-
         cfg_path.write_text(json.dumps(asdict(cfg)))
         runner = CliRunner()
         res = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
@@ -210,8 +251,6 @@ class TestCli:
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        from dataclasses import asdict
-
         cfg_path.write_text(json.dumps(asdict(tiny_config())))
         runner = CliRunner()
         r1 = runner.invoke(main, ["gen-data", "--config", str(cfg_path),
@@ -230,8 +269,6 @@ class TestCli:
                                   "run_length": 10, "target_len": 10,
                                   "score_instances": 5})
         cfg_path = tmp_path / "cfg.json"
-        from dataclasses import asdict
-
         cfg_path.write_text(json.dumps(asdict(cfg)))
         runner = CliRunner()
         res = runner.invoke(main, ["locate-prior", "--config", str(cfg_path),

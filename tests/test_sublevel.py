@@ -1,14 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import betaincinv
 
+import optcert
 from optcert.algorithms import AlgoState, HbfAlgo, hbf_params
 from optcert.problems import QuadraticInstance
 from optcert.sublevel import (
     BetaPosterior,
     SublevelSpec,
+    beta_ppf,
     beta_quantile,
     estimate_probability,
     estimate_sublevel_probability,
@@ -101,6 +106,27 @@ class TestBetaQuantile:
         # CDF of Beta(1,2) is 1-(1-x)^2, so the 0.75 quantile is 0.5
         assert beta_quantile(BetaPosterior(1.0, 2.0), 0.75) == pytest.approx(0.5, abs=1e-9)
 
+    def test_power_closed_forms(self):
+        # CDF of Beta(a, 1) is x^a and that of Beta(1, b) is 1 - (1 - x)^b
+        for q in (1e-6, 0.01, 0.3, 0.99, 1 - 1e-6):
+            assert beta_ppf(3.0, 1.0, q) == pytest.approx(q ** (1 / 3), rel=1e-13)
+            assert beta_ppf(1.0, 4.0, q) == pytest.approx(-np.expm1(np.log1p(-q) / 4), rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
+    def test_rejects_invalid_arguments(self, bad):
+        with pytest.raises(ValueError):
+            beta_ppf.__wrapped__(*bad)
+
+    def test_quantile_below_the_float_range_is_zero(self):
+        # the 1e-6 quantile of Beta(0.01, 1000) is about 1e-600
+        assert beta_ppf.__wrapped__(0.01, 1000.0, 1e-6) == 0.0
+
+    def test_cached_equals_uncached(self):
+        for a, b, q in itertools.product((1.0, 2.0, 37.0, 600.0), (1.0, 5.0, 420.0), (0.01, 0.5, 0.99)):
+            first = beta_ppf(a, b, q)
+            assert beta_ppf(a, b, q) == first == beta_ppf.__wrapped__(a, b, q)
+            assert beta_quantile(BetaPosterior(a, b), q) == first
+
 
 class TestEstimateProbability:
     def test_all_ones_stops_at_58(self):
@@ -167,7 +193,59 @@ class TestEstimateSublevel:
         )
         assert res.conclusive and res.point_estimate == pytest.approx(59.0 / 60.0)
 
+class TestBetaQuantileAgainstScipy:
+    """SciPy's ``betaincinv`` is the reference; the package itself does not import SciPy."""
+
+    @pytest.fixture(scope="class")
+    def betaincinv(self):
+        return pytest.importorskip("scipy.special").betaincinv
+
+    def test_grid_relative_error(self, betaincinv):
+        counts = (0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 30.0, 59.0, 100.0, 333.0, 1000.0, 3000.0, 10001.0)
+        qs = (1e-12, 1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1 - 1e-6, 1 - 1e-12)
+        errors = [
+            abs(beta_ppf.__wrapped__(a, b, q) / betaincinv(a, b, q) - 1.0)
+            for a, b, q in itertools.product(counts, counts, qs)
+        ]
+        assert max(errors) <= 1e-10
+        assert np.median(errors) <= 1e-13
+
+    def test_same_stopping_decision_for_all_counts_up_to_1302(self, betaincinv):
+        # all integer posterior counts a, b >= 1 with a + b <= 1302; beyond
+        # a + b ~ 970 the default interval is always narrower than width_tol
+        spec = SublevelSpec()
+        totals = np.arange(2, 1303)
+        a = np.concatenate([np.arange(1, s) for s in totals]).astype(float)
+        b = np.repeat(totals, totals - 1) - a
+        width = betaincinv(a, b, spec.q_u) - betaincinv(a, b, spec.q_l)
+        # A decision can only flip where the reference width lies within the
+        # two implementations' error of the tolerance.  Every pair within 1e-4
+        # of it (about 2.6k pairs) is recomputed, and a random sample of the
+        # rest confirms that the error stays far below that margin.
+        near = np.flatnonzero(np.abs(width - spec.width_tol) < 1e-4)
+        far = np.random.default_rng(0).choice(len(a), 300, replace=False)
+        assert len(near) > 1000
+        for i in np.concatenate([near, far]):
+            ours = beta_ppf.__wrapped__(a[i], b[i], spec.q_u) - beta_ppf.__wrapped__(
+                a[i], b[i], spec.q_l
+            )
+            assert abs(ours - width[i]) <= 1e-10
+            assert (ours < spec.width_tol) == (width[i] < spec.width_tol), (a[i], b[i])
+
 
 def test_quantile_matches_scipy_reference():
+    betaincinv = pytest.importorskip("scipy.special").betaincinv
     post = BetaPosterior(7.0, 3.0)
     assert beta_quantile(post, 0.42) == pytest.approx(float(betaincinv(7.0, 3.0, 0.42)))
+
+
+def test_package_import_loads_no_scipy():
+    probe = (
+        "import sys, optcert, optcert.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(optcert.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
