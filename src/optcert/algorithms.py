@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import DenseNet
+from .nets import DenseNet, FlatParams, pack_params
 from .problems import (
     LassoBatch,
     LassoClassContext,
@@ -50,7 +50,6 @@ __all__ = [
     "hbf_step",
     "fista_step",
     "ista_step",
-    "run_algorithm",
     "rollout",
     "reference_rollout",
     "QuadLearnedAlgo",
@@ -89,16 +88,13 @@ class HbfParams:
 def preprocess(v: np.ndarray):
     """Split a vector, or each row of a (B, n) matrix, into unit direction and log1p(norm).
 
-    A zero vector or row maps to (0, 0).  A vector gives a float norm term,
+    A zero vector or row maps to (0, 0).  A vector gives a scalar norm term,
     a matrix a (B,) array.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        units, lognorms = preprocess(v[None, :])
-        return units[0], float(lognorms[0])
-    norms = np.sqrt(row_dot(v, v))[:, None]
+    norms = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
     units = np.divide(v, norms, out=np.zeros_like(v), where=norms != 0.0)
-    return units, np.log1p(norms[:, 0])
+    return units, np.log1p(norms[..., 0])
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -117,10 +113,15 @@ _QUAD_STEP_DIMS = [2, 8, 8, 8, 8, 8, 1]
 _QUAD_MASK = [True, False, True, False, True, False]
 
 
-@dataclass
-class LearnedQuadArch:
+@dataclass(eq=False)
+class LearnedQuadArch(FlatParams):
+    """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order."""
+
     direction_net: DenseNet
     step_net: DenseNet
+
+    def __post_init__(self):
+        self.params, self.grads = pack_params([self.direction_net, self.step_net])
 
     @classmethod
     def init(cls, rng: np.random.Generator) -> "LearnedQuadArch":
@@ -128,18 +129,6 @@ class LearnedQuadArch:
             direction_net=DenseNet.init(_QUAD_DIR_DIMS, _QUAD_MASK, rng),
             step_net=DenseNet.init(_QUAD_STEP_DIMS, _QUAD_MASK, rng),
         )
-
-    @property
-    def num_params(self) -> int:
-        return self.direction_net.num_params + self.step_net.num_params
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.direction_net.get_flat(), self.step_net.get_flat()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        nd = self.direction_net.num_params
-        self.direction_net.set_flat(flat[:nd])
-        self.step_net.set_flat(flat[nd:])
 
 
 @dataclass
@@ -158,12 +147,16 @@ def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool 
     """
     x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
     rows, n = x.shape
-    d1, n1 = preprocess(grad_quadratic(x, inst))
-    d2, n2 = preprocess(x - x_prev)
-    channels = np.stack([d1, d2, d1 * d2], axis=2).reshape(rows * n, 3)
-    d_out, dir_tape = arch.direction_net.forward(channels, tape)
+    channels = np.empty((rows, n, 3))
+    norms = np.empty((rows, 2))
+    d1, norms[:, 0] = preprocess(grad_quadratic(x, inst))
+    d2, norms[:, 1] = preprocess(x - x_prev)
+    channels[..., 0] = d1
+    channels[..., 1] = d2
+    np.multiply(d1, d2, out=channels[..., 2])
+    d_out, dir_tape = arch.direction_net.forward(channels.reshape(rows * n, 3), tape)
     direction = d_out.reshape(rows, n)
-    s_out, step_tape = arch.step_net.forward(np.stack([n1, n2], axis=1), tape)
+    s_out, step_tape = arch.step_net.forward(norms, tape)
     step_size = s_out[:, 0]
     x_next = (x + step_size[:, None] * direction).reshape(state.x_curr.shape)
     next_state = AlgoState(x_curr=x_next, x_prev=state.x_curr)
@@ -171,13 +164,17 @@ def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool 
 
 
 def quad_step_backward(arch: LearnedQuadArch, tape: _QuadStepTape, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows)."""
+    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
+
+    Each net writes its weight gradients into its slice of ``arch.grads``;
+    the result is a copy of that vector.
+    """
     out_grad = np.atleast_2d(out_grad)
     g_s = row_dot(tape.direction, out_grad)
     g_d = tape.step_size[:, None] * out_grad
-    _, dir_wg = arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1))
-    _, step_wg = arch.step_net.backward(tape.step_tape, g_s[:, None])
-    return np.concatenate([w.ravel() for w in dir_wg] + [w.ravel() for w in step_wg])
+    arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1), input_grad=False)
+    arch.step_net.backward(tape.step_tape, g_s[:, None], input_grad=False)
+    return arch.grads.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +196,19 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class LearnedLassoArch:
-    direction_net: DenseNet
-    step_net: DenseNet
-    sparsity_net: DenseNet
-    prox_tau: float
+class LearnedLassoArch(FlatParams):
+    """Direction, step and sparsity nets and the prox parameter.
+
+    ``params`` holds the three nets' weights in that order, then
+    ``prox_tau`` as its last entry; ``grads`` has the same layout.
+    """
+
+    def __init__(self, direction_net: DenseNet, step_net: DenseNet, sparsity_net: DenseNet, prox_tau: float):
+        self.direction_net = direction_net
+        self.step_net = step_net
+        self.sparsity_net = sparsity_net
+        self.params, self.grads = pack_params([direction_net, step_net, sparsity_net], extra=1)
+        self.prox_tau = prox_tau
 
     @classmethod
     def init(cls, rng: np.random.Generator, prox_tau: float) -> "LearnedLassoArch":
@@ -216,32 +220,12 @@ class LearnedLassoArch:
         )
 
     @property
-    def num_params(self) -> int:
-        return (
-            self.direction_net.num_params
-            + self.step_net.num_params
-            + self.sparsity_net.num_params
-            + 1
-        )
+    def prox_tau(self) -> float:
+        return float(self.params[-1])
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.direction_net.get_flat(),
-                self.step_net.get_flat(),
-                self.sparsity_net.get_flat(),
-                [self.prox_tau],
-            ]
-        )
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        nd = self.direction_net.num_params
-        ns = self.step_net.num_params
-        nz = self.sparsity_net.num_params
-        self.direction_net.set_flat(flat[:nd])
-        self.step_net.set_flat(flat[nd: nd + ns])
-        self.sparsity_net.set_flat(flat[nd + ns: nd + ns + nz])
-        self.prox_tau = float(flat[-1])
+    @prox_tau.setter
+    def prox_tau(self, value: float) -> None:
+        self.params[-1] = value
 
 
 @dataclass
@@ -271,17 +255,25 @@ def lasso_step_forward(
     x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
     rows, n = x.shape
     reg = reg_column(inst)
-    d1, n1 = preprocess(subgrad_lasso(x, inst, ctx))
-    d2, n2 = preprocess(x - x_prev)
-    d3, n3 = preprocess(reg * np.sign(x))
-    channels = np.stack([d1, d2, d1 * d2, d3], axis=2).reshape(rows * n, 4)
-    d_out, dir_tape = arch.direction_net.forward(channels, tape)
+    channels = np.empty((rows, n, 4))
+    norms = np.empty((rows, 3))
+    sp_in = np.empty((rows, n, 3))
+    d1, norms[:, 0] = preprocess(subgrad_lasso(x, inst, ctx))
+    d2, norms[:, 1] = preprocess(x - x_prev)
+    d3, norms[:, 2] = preprocess(reg * np.sign(x))
+    channels[..., 0] = d1
+    channels[..., 1] = d2
+    np.multiply(d1, d2, out=channels[..., 2])
+    channels[..., 3] = d3
+    d_out, dir_tape = arch.direction_net.forward(channels.reshape(rows * n, 4), tape)
     direction = d_out.reshape(rows, n)
-    s_out, step_tape = arch.step_net.forward(np.stack([n1, n2, n3], axis=1), tape)
+    s_out, step_tape = arch.step_net.forward(norms, tape)
     step_size = s_out[:, 0]
     x_tilde = x + step_size[:, None] * direction
-    sp_in = np.stack([x_tilde, x, d3], axis=2).reshape(rows * n, 3)
-    a_out, sparse_tape = arch.sparsity_net.forward(sp_in, tape)
+    sp_in[..., 0] = x_tilde
+    sp_in[..., 1] = x
+    sp_in[..., 2] = d3
+    a_out, sparse_tape = arch.sparsity_net.forward(sp_in.reshape(rows * n, 3), tape)
     z = _sigmoid(a_out[:, 0]).reshape(rows, n)
     gated = z * x_tilde
     thresh = arch.prox_tau * reg
@@ -299,7 +291,12 @@ def lasso_step_forward(
 
 
 def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape."""
+    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
+
+    Each net writes its weight gradients into its slice of ``arch.grads``,
+    whose last entry takes the ``prox_tau`` term; the result is a copy of
+    that vector.
+    """
     y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
     thresh, reg = tape.thresh.item(), tape.reg.item()
     ny = float(np.linalg.norm(y))
@@ -318,18 +315,14 @@ def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: 
     g_z = g_gated * x_tilde
     g_xt += g_gated * z
     g_a = g_z * z * (1.0 - z)
-    g_sp_in, sparse_wg = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
+    g_sp_in, _ = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
     g_xt += g_sp_in[:, 0]
     g_s = float(tape.direction[0] @ g_xt)
     g_d = tape.step_size[0] * g_xt
-    _, dir_wg = arch.direction_net.backward(tape.dir_tape, g_d[:, None])
-    _, step_wg = arch.step_net.backward(tape.step_tape, np.array([g_s]))
-    return np.concatenate(
-        [w.ravel() for w in dir_wg]
-        + [w.ravel() for w in step_wg]
-        + [w.ravel() for w in sparse_wg]
-        + [[g_prox_tau]]
-    )
+    arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
+    arch.step_net.backward(tape.step_tape, np.array([g_s]), input_grad=False)
+    arch.grads[-1] = g_prox_tau
+    return arch.grads.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +356,6 @@ def ista_step(state: AlgoState, inst, ctx: LassoClassContext) -> AlgoState:
     x = state.x_curr
     x_next = soft_threshold(x - tau * smooth_grad_lasso(x, inst, ctx), tau * reg_column(inst))
     return AlgoState(x_curr=x_next, x_prev=x)
-
-
-def run_algorithm(step, state0, loss_fn, k: int) -> tuple[list, np.ndarray]:
-    """Iterate ``step`` k times; returns the k+1 iterates and their losses."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    state = state0
-    traj = [np.array(state.x_curr, copy=True)]
-    losses = [loss_fn(state.x_curr)]
-    for _ in range(k):
-        state = step(state)
-        traj.append(np.array(state.x_curr, copy=True))
-        losses.append(loss_fn(state.x_curr))
-    return traj, np.asarray(losses)
 
 
 def reference_rollout(algo, instances, x0, k: int, step_seconds=None) -> np.ndarray:
@@ -574,29 +553,31 @@ class IstaAlgo(_RowBatched):
         return ista_step(state, inst, self.ctx)
 
 
+def ratio_step(algo, state, inst, l0=None):
+    """One training step's pieces: next state, loss ratio, hypergradient, next loss.
+
+    ``l0`` is the loss at ``state`` when the caller already has it (it is
+    computed otherwise); the returned loss at the next state is the ``l0``
+    of the step after it.  The ratio and the hypergradient are None when
+    the denominator is zero (term dropped).
+    """
+    if l0 is None:
+        l0 = algo.loss(state.x_curr, inst)
+    next_state, tape = algo.step_with_tape(state, inst)
+    l1 = algo.loss(next_state.x_curr, inst)
+    if l0 <= 0.0:
+        return next_state, None, None, l1
+    out_grad = algo.loss_grad(next_state.x_curr, inst) / l0
+    return next_state, l1 / l0, algo.step_backward(tape, out_grad), l1
+
+
 def grad_train_loss_onestep(algo, state, inst) -> np.ndarray:
     """Exact hypergradient of loss(x_next) / loss(x_curr) w.r.t. the flat weights.
 
     Raises ZeroLossError on a zero denominator; callers skip the term, matching
     the indicator in the ratio training loss.
     """
-    l0 = algo.loss(state.x_curr, inst)
-    if l0 <= 0.0:
+    _, ratio, grad, _ = ratio_step(algo, state, inst)
+    if ratio is None:
         raise ZeroLossError("loss at the current iterate is zero")
-    next_state, tape = algo.step_with_tape(state, inst)
-    out_grad = algo.loss_grad(next_state.x_curr, inst) / l0
-    return algo.step_backward(tape, out_grad)
-
-
-def ratio_step(algo, state, inst):
-    """One training step's pieces: next state, loss ratio, hypergradient.
-
-    The ratio is None when the denominator is zero (term dropped).
-    """
-    l0 = algo.loss(state.x_curr, inst)
-    next_state, tape = algo.step_with_tape(state, inst)
-    if l0 <= 0.0:
-        return next_state, None, None
-    l1 = algo.loss(next_state.x_curr, inst)
-    out_grad = algo.loss_grad(next_state.x_curr, inst) / l0
-    return next_state, l1 / l0, algo.step_backward(tape, out_grad)
+    return grad

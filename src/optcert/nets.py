@@ -7,6 +7,13 @@ and a central finite-difference oracle used by the tests.
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
 just a batch over coordinates.
+
+A model's parameters live in one contiguous vector, ``params``, and each
+weight matrix is a reshaped view into it; the gradients of the last
+backward pass live in a vector ``grads`` of the same layout, and
+``pack_params`` lays several nets out in one pair of vectors.  ``get_flat``
+returns a copy of the parameters and ``set_flat`` copies into them, so the
+model never aliases a caller's array.
 """
 
 from __future__ import annotations
@@ -15,7 +22,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DenseNet", "GradTape", "AdamState", "adam_step", "finite_diff"]
+__all__ = [
+    "FlatParams",
+    "DenseNet",
+    "GradTape",
+    "AdamState",
+    "pack_params",
+    "adam_step",
+    "finite_diff",
+]
+
+
+class FlatParams:
+    """The flat-vector interface of a model whose parameters are the vector ``self.params``."""
+
+    @property
+    def num_params(self) -> int:
+        return self.params.size
+
+    def get_flat(self) -> np.ndarray:
+        return self.params.copy()
+
+    def set_flat(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != self.params.shape:
+            raise ValueError("flat vector length does not match architecture")
+        self.params[...] = flat
 
 
 @dataclass
@@ -26,12 +58,19 @@ class GradTape:
     pre_acts: list
 
 
-@dataclass
-class DenseNet:
-    """Bias-free fully-connected net; ``activation_mask[i]`` rectifies layer i's output."""
+@dataclass(eq=False)
+class DenseNet(FlatParams):
+    """Bias-free fully-connected net; ``activation_mask[i]`` rectifies layer i's output.
 
-    weights: list  # list of (out, in) matrices
+    ``weights[i]`` is an (out, in) view into ``params``, and
+    ``weight_grads[i]`` the view of its gradient in ``grads``.
+    """
+
+    weights: list
     activation_mask: list
+    params: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
+    weight_grads: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.activation_mask):
@@ -39,6 +78,8 @@ class DenseNet:
         for a, b in zip(self.weights[:-1], self.weights[1:]):
             if a.shape[0] != b.shape[1]:
                 raise ValueError("layer dimensions do not chain")
+        size = sum(np.size(W) for W in self.weights)
+        self.bind(np.empty(size), np.empty(size))
 
     @classmethod
     def init(cls, dims: list[int], activation_mask: list[bool], rng: np.random.Generator) -> "DenseNet":
@@ -49,24 +90,21 @@ class DenseNet:
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         return cls(weights=weights, activation_mask=list(activation_mask))
 
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Copy the weights into ``params`` and make them, and their gradients in ``grads``, views."""
+        old, off = self.weights, 0
+        self.weights, self.weight_grads = [], []
+        for W in old:
+            view = params[off: off + np.size(W)].reshape(np.shape(W))
+            view[...] = W
+            self.weights.append(view)
+            self.weight_grads.append(grads[off: off + view.size].reshape(view.shape))
+            off += view.size
+        self.params, self.grads = params, grads
+
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
-
-    @property
-    def num_params(self) -> int:
-        return sum(W.size for W in self.weights)
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([W.ravel() for W in self.weights])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.num_params,):
-            raise ValueError("flat vector length does not match architecture")
-        off = 0
-        for i, W in enumerate(self.weights):
-            self.weights[i] = flat[off: off + W.size].reshape(W.shape)
-            off += W.size
 
     def forward(self, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, GradTape | None]:
         """Forward pass; accepts a vector or a (batch, in_dim) matrix.
@@ -89,22 +127,45 @@ class DenseNet:
         out = H[0] if squeeze else H
         return out, (GradTape(inputs=inputs, pre_acts=pre_acts) if tape else None)
 
-    def backward(self, tape: GradTape, out_grad: np.ndarray) -> tuple[np.ndarray, list]:
-        """Exact reverse-mode pass; rectifier subgradient at 0 is 0."""
+    def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
+        """Exact reverse-mode pass; rectifier subgradient at 0 is 0.
+
+        Writes the weight gradients into ``grads`` and returns the input
+        gradient and ``weight_grads``; the next pass overwrites them.  With
+        ``input_grad=False`` the first layer's input-gradient product is
+        skipped and None is returned in its place.
+        """
         if len(tape.inputs) != len(self.weights):
             raise ValueError("tape does not match this net")
         G = np.asarray(out_grad, dtype=float)
         squeeze = G.ndim == 1
         if squeeze:
             G = G[None, :]
-        weight_grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activation_mask[i]:
                 G = G * (tape.pre_acts[i] > 0)
-            weight_grads[i] = G.T @ tape.inputs[i]
-            G = G @ self.weights[i]
-        in_grad = G[0] if squeeze else G
-        return in_grad, weight_grads
+            np.matmul(G.T, tape.inputs[i], out=self.weight_grads[i])
+            if i or input_grad:
+                G = G @ self.weights[i]
+        if not input_grad:
+            return None, self.weight_grads
+        return (G[0] if squeeze else G), self.weight_grads
+
+
+def pack_params(nets: list, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One parameter and one gradient vector for ``nets`` in order, plus ``extra`` trailing entries.
+
+    Each net is bound to its slices, so its weights and weight gradients
+    become views of the returned vectors; the trailing entries are left
+    uninitialized.
+    """
+    size = sum(net.num_params for net in nets) + extra
+    params, grads = np.empty(size), np.empty(size)
+    off = 0
+    for net in nets:
+        net.bind(params[off: off + net.num_params], grads[off: off + net.num_params])
+        off += net.num_params
+    return params, grads
 
 
 @dataclass

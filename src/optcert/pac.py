@@ -225,10 +225,10 @@ def build_stats(
     t2 = np.empty(m)
     phi = np.empty(m)
     p_hats = np.empty(m)
-    saved = algo.get_flat().copy()
+    saved = algo.get_flat()
     try:
         for j, alpha in enumerate(points):
-            algo.set_flat(np.asarray(alpha, dtype=float).copy())
+            algo.set_flat(alpha)
             val_losses = rollout(algo, val_data, x0, k)
             res = estimate_from_rollout(val_losses, spec, rng)
             p_hats[j] = res.point_estimate

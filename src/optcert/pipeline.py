@@ -132,7 +132,7 @@ def _probe_arch(algo, instances, x0, rng, tries: int = 20):
     for _ in range(tries):
         state = algo.init_state(x0)
         inst = instances[rng.integers(len(instances))]
-        _, _, g = ratio_step(algo, state, inst)
+        _, _, g, _ = ratio_step(algo, state, inst)
         if g is not None and np.any(g != 0.0) and np.all(np.isfinite(g)):
             return algo
         algo.reinit(rng)
@@ -172,18 +172,43 @@ def _load_json(path: Path):
     return json.loads(path.read_text())
 
 
+def _write_json(fh, obj) -> None:
+    """Write the bytes of ``json.dump(obj, fh)`` with the C encoder behind ``json.dumps``.
+
+    ``json.dump`` streams through the pure-Python encoder.  Here each value
+    of a top-level dict is one ``json.dumps`` call, except that a list of
+    records (lists or dicts, such as the instances or the sampled points)
+    is written one record at a time, so no string of the whole document is
+    built.
+    """
+    if not (isinstance(obj, dict) and all(isinstance(key, str) for key in obj)):
+        fh.write(json.dumps(obj))
+        return
+    fh.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, (list, tuple)) and all(isinstance(item, (list, tuple, dict)) for item in value):
+            fh.write("[")
+            for j, item in enumerate(value):
+                fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}")
+
+
 def _dump_json(path: Path, obj) -> None:
     """Write ``obj`` atomically: a temporary file in the same directory, then a rename.
 
     A failure or a kill part-way leaves no ``path`` behind, so the next run
     recomputes the stage instead of reading a truncated artifact.  The JSON
-    is streamed to the file rather than built as one string first, which
+    is written piece by piece rather than built as one string first, which
     keeps the peak memory of the multi-megabyte LASSO artifacts down.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh)
+            _write_json(fh, obj)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -331,7 +356,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
             out_dir,
             lambda: _stage_init(learned, baseline, splits, x0, cfg, rng),
         )
-        learned.set_flat(np.asarray(init_record["alpha"], dtype=float))
+        learned.set_flat(init_record["alpha"])
         if until == "init":
             return init_record
 
@@ -342,7 +367,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
         )
         if not loc_record["found"]:
             raise ConstraintNotFoundError("prior location left the feasible band")
-        learned.set_flat(np.asarray(loc_record["alpha"], dtype=float))
+        learned.set_flat(loc_record["alpha"])
         if until == "prior_location":
             return loc_record
 
@@ -365,7 +390,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
             out_dir,
             lambda: _stage_certify(learned, samples, splits, x0, cfg, spec, rng),
         )
-        learned.set_flat(np.asarray(cert_record["point_alpha"], dtype=float))
+        learned.set_flat(cert_record["point_alpha"])
         if until == "certificate":
             return cert_record
 

@@ -30,7 +30,6 @@ __all__ = [
     "StageConfig",
     "LocateConfig",
     "imitation_loss",
-    "ratio_loss",
     "find_initialization",
     "locate_prior",
 ]
@@ -71,16 +70,6 @@ class InitResult:
     converged: bool
 
 
-def ratio_loss(losses) -> float:
-    """Sum of successive loss ratios; terms with a zero denominator drop out."""
-    losses = np.asarray(losses, dtype=float)
-    total = 0.0
-    for prev, curr in zip(losses[:-1], losses[1:]):
-        if prev > 0.0:
-            total += curr / prev
-    return total
-
-
 def imitation_loss(algo, reference, inst, x0: np.ndarray, s: int) -> float:
     """Mean squared distance between s iterates of the learned and reference rule."""
     st_a = algo.init_state(x0)
@@ -116,26 +105,35 @@ def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad
 
 
-def _diverged(algo, state, inst, base_loss: float, factor: float) -> bool:
-    with np.errstate(over="ignore", invalid="ignore"):
-        cur = algo.loss(state.x_curr, inst)
-    return not np.isfinite(cur) or cur > factor * (base_loss + 1.0)
+def _diverged(loss: float, base_loss: float, factor: float) -> bool:
+    """Whether a trajectory's current ``loss`` is non-finite or above ``factor * (base_loss + 1)``."""
+    return not np.isfinite(loss) or loss > factor * (base_loss + 1.0)
 
 
-def _segment_updates(algo, state, inst, s: int):
-    """Run s learned steps; returns final state, summed ratio, summed hypergrad.
+def _new_trajectory(algo, prior_data, x0, rng):
+    """A fresh trajectory: the state at ``x0``, a random prior instance, and the loss there."""
+    inst = prior_data[rng.integers(len(prior_data))]
+    return algo.init_state(x0), inst, algo.loss(x0, inst)
 
-    Iterates are treated independently: each one-step gradient ignores the
-    dependence of earlier iterates on the hyperparameters.
+
+def _segment_updates(algo, state, inst, loss: float, s: int):
+    """Run s learned steps from ``state``, whose loss is ``loss``.
+
+    Returns the final state, the summed ratio, the summed hypergradient and
+    the loss at the final state.  Iterates are treated independently: each
+    one-step gradient ignores the dependence of earlier iterates on the
+    hyperparameters.
     """
-    grad = np.zeros(algo.num_params)
+    grad = None
     total = 0.0
     for _ in range(s):
-        state, ratio, g = ratio_step(algo, state, inst)
+        state, ratio, g, loss = ratio_step(algo, state, inst, loss)
         if ratio is not None:
             total += ratio
-            grad += g
-    return state, total, grad
+            grad = g if grad is None else grad + g
+    if grad is None:
+        grad = np.zeros(algo.num_params)
+    return state, total, grad, loss
 
 
 def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) -> InitResult:
@@ -146,10 +144,8 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
     x0 = np.asarray(x0, dtype=float)
     sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
-    inst = prior_data[rng.integers(len(prior_data))]
-    state = algo.init_state(x0)
-    base_loss = algo.loss(x0, inst)
-    best_alpha = algo.get_flat().copy()
+    state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+    best_alpha = algo.get_flat()
     best_mean = np.inf
     iterations = 0
     while iterations < cfg.max_iterations:
@@ -177,16 +173,14 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
             state = algo.init_state(start)
             for _ in range(cfg.segment_len):
                 state = algo.step(state, inst)
-            if _diverged(algo, state, inst, base_loss, cfg.guard_factor):
-                state = algo.init_state(x0)
-                inst = prior_data[rng.integers(len(prior_data))]
-                base_loss = algo.loss(x0, inst)
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = algo.loss(state.x_curr, inst)
+            if _diverged(loss, base_loss, cfg.guard_factor):
+                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
                 continue
             carried, restarted = sched.next(state, rng)
             if restarted:
-                state = algo.init_state(x0)
-                inst = prior_data[rng.integers(len(prior_data))]
-                base_loss = algo.loss(x0, inst)
+                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
             else:
                 state = carried
             if iterations >= cfg.max_iterations:
@@ -194,7 +188,7 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         mean = running / cfg.n_init
         if mean < best_mean:
             best_mean = mean
-            best_alpha = algo.get_flat().copy()
+            best_alpha = algo.get_flat()
         if mean < cfg.eps_init:
             return InitResult(alpha=algo.get_flat(), converged=True)
     algo.set_flat(best_alpha)
@@ -238,27 +232,26 @@ def locate_prior(
     x0 = np.asarray(x0, dtype=float)
     sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
-    inst = prior_data[rng.integers(len(prior_data))]
-    state = algo.init_state(x0)
-    base_loss = algo.loss(x0, inst)
+    # ``loss`` is the loss at ``state``, carried from the step that reached it
+    state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+    loss = base_loss
     score_data = val_data[: cfg.score_instances]
     found = False
-    checkpoint = algo.get_flat().copy()
+    checkpoint = algo.get_flat()
     best_score = np.inf
     estimate = None
     log_rows = []
     for i in range(1, cfg.n_max + 1):
-        final_state, ratio_total, grad = _segment_updates(algo, state, inst, cfg.segment_len)
-        if np.all(np.isfinite(grad)) and not _diverged(
-            algo, final_state, inst, base_loss, cfg.guard_factor
-        ):
+        final_state, ratio_total, grad, final_loss = _segment_updates(
+            algo, state, inst, loss, cfg.segment_len
+        )
+        if np.all(np.isfinite(grad)) and not _diverged(final_loss, base_loss, cfg.guard_factor):
             proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
             algo.set_flat(proposal)
         else:
             # diverged segment: restart the trajectory, keep the parameters
-            state = algo.init_state(x0)
-            inst = prior_data[rng.integers(len(prior_data))]
-            base_loss = algo.loss(x0, inst)
+            state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+            loss = base_loss
             continue
         if i % cfg.check_every == 0:
             res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
@@ -270,24 +263,22 @@ def locate_prior(
                 score = _median_final_loss(algo, score_data, x0, cfg.target_len)
                 if score <= best_score:
                     best_score = score
-                    checkpoint = algo.get_flat().copy()
+                    checkpoint = algo.get_flat()
                     estimate = res.point_estimate
             elif found:
                 # reject: restore the feasible hyperparameters, reset iterates
-                algo.set_flat(checkpoint.copy())
-                state = algo.init_state(x0)
-                inst = prior_data[rng.integers(len(prior_data))]
-                base_loss = algo.loss(x0, inst)
+                algo.set_flat(checkpoint)
+                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+                loss = base_loss
                 if i % cfg.decay_every == 0:
                     adam.lr *= 0.5
                 continue
         carried, restarted = sched.next(final_state, rng)
         if restarted:
-            state = algo.init_state(x0)
-            inst = prior_data[rng.integers(len(prior_data))]
-            base_loss = algo.loss(x0, inst)
+            state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+            loss = base_loss
         else:
-            state = carried
+            state, loss = carried, final_loss
         if i % cfg.decay_every == 0:
             adam.lr *= 0.5
     if cfg.log_path is not None:
@@ -296,6 +287,6 @@ def locate_prior(
             writer.writerow(["step", "ratio_loss", "accepted"])
             writer.writerows(log_rows)
     if found:
-        algo.set_flat(checkpoint.copy())
+        algo.set_flat(checkpoint)
         return PriorLocation(alpha=checkpoint, constraint_found=True, estimate=estimate)
     return PriorLocation(alpha=algo.get_flat(), constraint_found=False, estimate=estimate)

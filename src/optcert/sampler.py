@@ -89,9 +89,9 @@ def constrained_sample(
     x0 = np.asarray(x0, dtype=float)
     sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     first = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
-    points = [algo.get_flat().copy()]
+    points = [algo.get_flat()]
     estimates = [first.point_estimate]
-    current = algo.get_flat().copy()
+    current = algo.get_flat()
     inst = prior_data[rng.integers(len(prior_data))]
     state = algo.init_state(x0)
     step = cfg.step0
@@ -100,7 +100,7 @@ def constrained_sample(
     while len(points) < cfg.n_samples:
         grad = np.zeros(algo.num_params)
         for _ in range(cfg.segment_len):
-            state, _, g = ratio_step(algo, state, inst)
+            state, _, g, _ = ratio_step(algo, state, inst)
             if g is not None:
                 grad += g
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(state.x_curr))):
@@ -117,11 +117,11 @@ def constrained_sample(
             rejected_streak = 0
             accepted_since_collect += 1
             if accepted_since_collect >= cfg.thinning:
-                points.append(proposal.copy())
+                points.append(proposal)
                 estimates.append(res.point_estimate)
                 accepted_since_collect = 0
         else:
-            algo.set_flat(current.copy())
+            algo.set_flat(current)
             rejected_streak += 1
             if rejected_streak >= cfg.patience:
                 raise NoFeasiblePointError(
@@ -133,5 +133,5 @@ def constrained_sample(
             inst = prior_data[rng.integers(len(prior_data))]
         else:
             state = carried
-    algo.set_flat(current.copy())
+    algo.set_flat(current)
     return SampleSet(points=points, estimates=estimates)

@@ -19,7 +19,6 @@ from optcert.algorithms import (
     ista_step,
     preprocess,
     ratio_step,
-    run_algorithm,
     soft_threshold,
 )
 from optcert.nets import finite_diff
@@ -29,7 +28,6 @@ from optcert.problems import (
     QuadraticInstance,
     gen_lasso,
     gen_quadratics,
-    loss_quadratic,
 )
 
 
@@ -120,30 +118,6 @@ class TestFista:
         f = fista_step(FistaState(x_curr=x0, x_prev=x0, t_k=1.0), inst, ctx)
         i = ista_step(AlgoState(x_curr=x0, x_prev=x0), inst, ctx)
         np.testing.assert_allclose(f.x_curr, i.x_curr)
-
-
-class TestRunAlgorithm:
-    def test_k_zero(self):
-        inst = quad([1.0], [1.0])
-        st = AlgoState(x_curr=np.array([2.0]), x_prev=np.array([2.0]))
-        traj, losses = run_algorithm(
-            lambda s: hbf_step(hbf_params(1, 1), s, inst), st, lambda x: loss_quadratic(x, inst), 0
-        )
-        assert len(traj) == 1 and len(losses) == 1
-        np.testing.assert_array_equal(traj[0], [2.0])
-
-    def test_negative_k(self):
-        with pytest.raises(ValueError):
-            run_algorithm(lambda s: s, None, lambda x: 0.0, -1)
-
-    def test_length_and_determinism(self):
-        inst = quad([1.0, 3.0], [1.0, 0.0])
-        p = hbf_params(1.0, 9.0)
-        st = AlgoState(x_curr=np.array([1.0, 1.0]), x_prev=np.array([1.0, 1.0]))
-        t1, l1 = run_algorithm(lambda s: hbf_step(p, s, inst), st, lambda x: loss_quadratic(x, inst), 7)
-        t2, l2 = run_algorithm(lambda s: hbf_step(p, s, inst), st, lambda x: loss_quadratic(x, inst), 7)
-        assert len(t1) == 8
-        np.testing.assert_array_equal(l1, l2)
 
 
 def make_quad_algo(seed):
@@ -282,7 +256,7 @@ class TestHypergradient:
         algo = make_quad_algo(1)
         inst = quad([1.0], [1.0])
         st = AlgoState(x_curr=np.array([1.0]), x_prev=np.array([1.0]))
-        _, ratio, g = ratio_step(algo, st, inst)
+        _, ratio, g, _ = ratio_step(algo, st, inst)
         assert ratio is None and g is None
 
     def test_dead_rectifier_weights_have_zero_grad(self):
@@ -300,6 +274,193 @@ class TestHypergradient:
         # gradient w.r.t. every later step-net layer is blocked by the dead layer
         later = g[nd + w0.size:]
         assert not np.any(later)
+
+
+def _parent_net_backward(net, tape, out_grad):
+    """Reverse pass as the per-net code computed it: weight gradients as a list."""
+    G = np.asarray(out_grad, dtype=float)
+    G = G[None, :] if G.ndim == 1 else G
+    weight_grads = [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        if net.activation_mask[i]:
+            G = G * (tape.pre_acts[i] > 0)
+        weight_grads[i] = G.T @ tape.inputs[i]
+        G = G @ net.weights[i]
+    return G, weight_grads
+
+
+def _flatten(*grad_lists):
+    return np.concatenate([w.ravel() for grads in grad_lists for w in grads])
+
+
+def _parent_quad_backward(arch, tape, out_grad):
+    out_grad = np.atleast_2d(out_grad)
+    g_s = (tape.direction[:, None, :] @ out_grad[:, :, None])[:, 0, 0]
+    g_d = tape.step_size[:, None] * out_grad
+    _, dir_wg = _parent_net_backward(arch.direction_net, tape.dir_tape, g_d.reshape(-1, 1))
+    _, step_wg = _parent_net_backward(arch.step_net, tape.step_tape, g_s[:, None])
+    return _flatten(dir_wg, step_wg)
+
+
+def _parent_lasso_backward(arch, tape, out_grad):
+    y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
+    thresh, reg = tape.thresh.item(), tape.reg.item()
+    ny = float(np.linalg.norm(y))
+    nxt = float(np.linalg.norm(x_tilde))
+    g_xt = np.zeros_like(x_tilde)
+    if ny > 0:
+        u = y / ny
+        g_y = (nxt / ny) * (out_grad - u * float(u @ out_grad))
+        if nxt > 0:
+            g_xt += float(u @ out_grad) * (x_tilde / nxt)
+    else:
+        g_y = np.asarray(out_grad, dtype=float)
+    active = np.abs(gated) > thresh
+    g_gated = g_y * active
+    g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
+    g_z = g_gated * x_tilde
+    g_xt += g_gated * z
+    g_a = g_z * z * (1.0 - z)
+    g_sp_in, sparse_wg = _parent_net_backward(arch.sparsity_net, tape.sparse_tape, g_a[:, None])
+    g_xt += g_sp_in[:, 0]
+    g_s = float(tape.direction[0] @ g_xt)
+    g_d = tape.step_size[0] * g_xt
+    _, dir_wg = _parent_net_backward(arch.direction_net, tape.dir_tape, g_d[:, None])
+    _, step_wg = _parent_net_backward(arch.step_net, tape.step_tape, np.array([g_s]))
+    return np.concatenate([_flatten(dir_wg, step_wg, sparse_wg), [g_prox_tau]])
+
+
+def _random_states(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    return [AlgoState(x_curr=rng.normal(size=dim), x_prev=rng.normal(size=dim)) for _ in range(count)]
+
+
+def _kill_first_step_layer(algo):
+    """Set the step net's first layer to -1: its inputs are log norms >= 0, so every unit is dead."""
+    flat = algo.get_flat()
+    nd = algo.arch.direction_net.num_params
+    flat[nd: nd + algo.arch.step_net.weights[0].size] = -1.0
+    algo.set_flat(flat)
+
+
+class TestLeanBackward:
+    """The in-place ``step_backward`` equals the per-net lists joined by ``np.concatenate``."""
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_quad_equals_per_net_concatenation(self, dead):
+        insts = gen_quadratics(4, 20, (1, 2), (5, 10), 3)
+        for seed, (inst, st) in enumerate(zip(insts, _random_states(20, 4, 1))):
+            algo = make_quad_algo(seed)
+            if dead:
+                _kill_first_step_layer(algo)
+            nxt, tape = algo.step_with_tape(st, inst)
+            out_grad = algo.loss_grad(nxt.x_curr, inst) / algo.loss(st.x_curr, inst)
+            got = algo.step_backward(tape, out_grad)
+            want = _parent_quad_backward(algo.arch, tape, out_grad)
+            assert got.tobytes() == want.tobytes()
+            if dead:
+                assert not np.any(got[algo.arch.direction_net.num_params + 16:])
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_lasso_equals_per_net_concatenation(self, dead):
+        ctx, insts = gen_lasso(4, 40, 25, (0.1, 1.0), 4)
+        prox_terms = []
+        for seed, (inst, st) in enumerate(zip(insts, _random_states(40, 4, 2))):
+            algo = make_lasso_algo(seed, ctx)
+            if dead:
+                _kill_first_step_layer(algo)
+            nxt, tape = algo.step_with_tape(st, inst)
+            out_grad = algo.loss_grad(nxt.x_curr, inst) / algo.loss(st.x_curr, inst)
+            got = algo.step_backward(tape, out_grad)
+            want = _parent_lasso_backward(algo.arch, tape, out_grad)
+            assert got.tobytes() == want.tobytes()
+            prox_terms.append(got[-1])
+        # the prox_tau entry is exercised, not a constant zero
+        assert any(prox_terms)
+
+    def test_result_is_not_overwritten_by_the_next_pass(self):
+        ctx, linsts = gen_lasso(2, 40, 25, (0.1, 1.0), 5)
+        cases = [
+            (make_quad_algo(3), gen_quadratics(2, 20, (1, 2), (5, 10), 2), 20),
+            (make_lasso_algo(3, ctx), linsts, 40),
+        ]
+        for algo, insts, dim in cases:
+            grads, snapshots = [], []
+            for inst, st in zip(insts, _random_states(dim, 2, 8)):
+                nxt, tape = algo.step_with_tape(st, inst)
+                grads.append(algo.step_backward(tape, algo.loss_grad(nxt.x_curr, inst)))
+                snapshots.append(grads[-1].copy())
+            np.testing.assert_array_equal(grads[0], snapshots[0])
+            assert np.any(grads[0] != grads[1])
+            assert not np.shares_memory(grads[0], algo.arch.grads)
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("kind", ["quad", "lasso"])
+    def test_weights_are_views_of_one_vector(self, kind):
+        if kind == "quad":
+            algo = make_quad_algo(0)
+            nets = [algo.arch.direction_net, algo.arch.step_net]
+        else:
+            ctx, _ = gen_lasso(1, 6, 4, (0.1, 0.5), 7)
+            algo = make_lasso_algo(0, ctx)
+            nets = [algo.arch.direction_net, algo.arch.step_net, algo.arch.sparsity_net]
+        flat = np.arange(algo.num_params, dtype=float)
+        algo.set_flat(flat)
+        joined = np.concatenate([W.ravel() for net in nets for W in net.weights])
+        np.testing.assert_array_equal(joined, flat[: joined.size])
+        for net in nets:
+            for W in net.weights:
+                assert np.shares_memory(W, algo.arch.params)
+
+    def test_prox_tau_is_the_last_entry(self):
+        ctx, _ = gen_lasso(1, 6, 4, (0.1, 0.5), 7)
+        algo = make_lasso_algo(0, ctx)
+        assert algo.arch.prox_tau == 1.0 / ctx.lipschitz
+        algo.arch.prox_tau = 0.25
+        assert algo.get_flat()[-1] == 0.25
+        flat = algo.get_flat()
+        flat[-1] = 0.5
+        algo.set_flat(flat)
+        assert algo.arch.prox_tau == 0.5 and isinstance(algo.arch.prox_tau, float)
+
+    @pytest.mark.parametrize("kind", ["quad", "lasso"])
+    def test_model_never_aliases_caller_arrays(self, kind):
+        if kind == "quad":
+            algo = make_quad_algo(1)
+        else:
+            ctx, _ = gen_lasso(1, 6, 4, (0.1, 0.5), 7)
+            algo = make_lasso_algo(1, ctx)
+        flat = np.random.default_rng(0).normal(size=algo.num_params)
+        algo.set_flat(flat)
+        expected = flat.copy()
+        flat += 1.0
+        np.testing.assert_array_equal(algo.get_flat(), expected)
+        got = algo.get_flat()
+        got[:] = 0.0
+        np.testing.assert_array_equal(algo.get_flat(), expected)
+        with pytest.raises(ValueError):
+            algo.set_flat(np.zeros(algo.num_params + 1))
+
+
+class TestCarriedLoss:
+    def test_passed_loss_gives_the_same_step(self):
+        ctx, linsts = gen_lasso(2, 40, 25, (0.1, 1.0), 5)
+        cases = [
+            (make_quad_algo(3), gen_quadratics(1, 20, (1, 2), (5, 10), 2)[0], 20),
+            (make_lasso_algo(3, ctx), linsts[0], 40),
+        ]
+        for algo, inst, dim in cases:
+            state = _random_states(dim, 1, 6)[0]
+            loss = None
+            for _ in range(3):
+                computed = ratio_step(algo, state, inst)
+                passed = ratio_step(algo, state, inst, algo.loss(state.x_curr, inst) if loss is None else loss)
+                assert computed[0].x_curr.tobytes() == passed[0].x_curr.tobytes()
+                assert computed[1] == passed[1]
+                assert computed[2].tobytes() == passed[2].tobytes()
+                assert computed[3] == passed[3] == algo.loss(computed[0].x_curr, inst)
+                state, loss = passed[0], passed[3]
 
 
 class TestBaselineFixtures:

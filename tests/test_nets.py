@@ -100,6 +100,20 @@ class TestBackward:
         g2 = net.backward(t2, np.ones(1))
         np.testing.assert_array_equal(g1[0], g2[0])
 
+    def test_weight_gradients_are_views_of_grads(self):
+        rng = np.random.default_rng(6)
+        net = DenseNet.init([3, 5, 5, 2], [True, True, False], rng)
+        _, tape = net.forward(rng.normal(size=(4, 3)))
+        out_grad = rng.normal(size=(4, 2))
+        in_g, w_g = net.backward(tape, out_grad)
+        assert in_g.shape == (4, 3)
+        assert all(np.shares_memory(g, net.grads) for g in w_g)
+        flat = net.grads.copy()
+        skipped, _ = net.backward(tape, out_grad, input_grad=False)
+        assert skipped is None
+        np.testing.assert_array_equal(net.grads, flat)
+        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in w_g]))
+
 
 class TestInit:
     def test_weight_range(self):
@@ -116,6 +130,41 @@ class TestInit:
         assert not np.any(net.get_flat())
         net.set_flat(flat)
         np.testing.assert_array_equal(net.get_flat(), flat)
+
+    def test_set_flat_copies_the_argument(self):
+        rng = np.random.default_rng(2)
+        net = DenseNet.init([3, 4, 2], [True, False], rng)
+        flat = rng.normal(size=net.num_params)
+        net.set_flat(flat)
+        x = rng.normal(size=3)
+        before, _ = net.forward(x)
+        flat[:] = 0.0
+        after, _ = net.forward(x)
+        np.testing.assert_array_equal(after, before)
+        assert np.any(net.get_flat())
+
+    def test_get_flat_returns_a_copy(self):
+        rng = np.random.default_rng(3)
+        net = DenseNet.init([3, 4, 2], [True, False], rng)
+        expected = net.get_flat()
+        got = net.get_flat()
+        got += 1.0
+        np.testing.assert_array_equal(net.get_flat(), expected)
+
+    def test_wrong_length_raises(self):
+        rng = np.random.default_rng(4)
+        net = DenseNet.init([3, 4, 2], [True, False], rng)
+        for length in (net.num_params - 1, net.num_params + 1):
+            with pytest.raises(ValueError):
+                net.set_flat(np.zeros(length))
+        with pytest.raises(ValueError):
+            net.set_flat(np.zeros((1, net.num_params)))
+
+    def test_weights_are_views_of_params(self):
+        net = make_net([np.ones((4, 3)), 2.0 * np.ones((1, 4))], [True, False])
+        np.testing.assert_array_equal(net.params, [1.0] * 12 + [2.0] * 4)
+        net.set_flat(np.arange(16.0))
+        np.testing.assert_array_equal(net.weights[1], [[12.0, 13.0, 14.0, 15.0]])
 
 
 class TestAdam:

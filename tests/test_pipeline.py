@@ -169,6 +169,28 @@ class TestAtomicArtifacts:
         assert rerun == json.loads((out / "certificate.json").read_text())
 
 
+class TestArtifactEncoding:
+    @pytest.mark.parametrize("obj", [
+        {"points": [[0.1, -2.5e-300, 1e308], [], [3]], "estimates": [0.98, 1.0], "empty": {}, "none": []},
+        {"context": None, "instances": [{"diag": [1.0, 2.0], "rhs": [0.5, float("nan")]}],
+         "nested": {"a": [1, {"b": "\u00e9\"q"}], "t": (1, 2)}, "flag": True},
+        {1: "non-string key", "x": float("inf")},
+        [[1.5, 2.5], {"k": [1]}, "s", -0.0],
+        [],
+        3.25,
+    ])
+    def test_same_bytes_as_json_dump(self, obj, tmp_path):
+        path = tmp_path / "a.json"
+        pipeline._dump_json(path, obj)
+        assert path.read_text() == json.dumps(obj)
+
+    def test_stage_artifacts_reencode_to_their_bytes(self, tmp_path):
+        run_pipeline(tiny_config(), tmp_path, until="samples")
+        for name in ("data", "init", "prior_location", "samples"):
+            text = (tmp_path / f"{name}.json").read_text()
+            assert text == json.dumps(json.loads(text))
+
+
 class TestInfeasibleSupport:
     """Every support point outside the band is a constraint failure (exit 2), not a stage failure."""
 

@@ -15,26 +15,9 @@ from optcert.prior_training import (
     find_initialization,
     imitation_loss,
     locate_prior,
-    ratio_loss,
 )
 from optcert.problems import gen_quadratics
 from optcert.sublevel import SublevelSpec
-
-
-class TestRatioLoss:
-    def test_geometric(self):
-        assert ratio_loss([8.0, 4.0, 2.0, 1.0]) == pytest.approx(1.5)
-
-    def test_zero_denominators_drop(self):
-        # 0/1 counts, the 0/0 term drops
-        assert ratio_loss([1.0, 0.0, 0.0]) == 0.0
-
-    def test_constant(self):
-        assert ratio_loss([3.0, 3.0]) == pytest.approx(1.0)
-
-    def test_scale_invariance(self):
-        losses = [5.0, 3.0, 2.0, 0.5]
-        assert ratio_loss(losses) == pytest.approx(ratio_loss([7.0 * v for v in losses]))
 
 
 class TestScheduler:
@@ -172,6 +155,44 @@ class _ScriptedAlgo:
 
     def loss_grad(self, x, inst):
         return 2.0 * x
+
+
+class _RecordingAlgo(_ScriptedAlgo):
+    """The toy rule, recording the iterate each training step starts from."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.starts = []
+
+    def step_with_tape(self, state, inst):
+        self.starts.append(float(state.x_curr[0]))
+        return super().step_with_tape(state, inst)
+
+
+def _guard_run(algo, x0, guard_factor, n_max):
+    # lr 0 keeps alpha fixed, no constraint check runs, and the Bernoulli
+    # restart is practically off, so only the divergence guard restarts
+    cfg = LocateConfig(n_max=n_max, check_every=n_max + 1, lr=0.0, target_len=10**12,
+                       guard_factor=guard_factor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        locate_prior(algo, [None], [None], np.array([x0]), SublevelSpec(), cfg,
+                     np.random.default_rng(0))
+    return algo.starts
+
+
+class TestDivergenceGuard:
+    def test_restarts_when_loss_exceeds_guard_factor(self):
+        # x <- -2x: the loss grows 4x a step and passes 100 * (1 + 1) at the fourth
+        starts = _guard_run(_RecordingAlgo(3.0), 1.0, 100.0, 12)
+        assert starts == [1.0, -2.0, 4.0, -8.0] * 3
+
+    def test_restarts_when_loss_is_not_finite(self):
+        # from 1e150 the iterate stays finite, but its square overflows at the
+        # 14th step; the guard bound itself is inf, so only the non-finite
+        # loss can restart the trajectory
+        starts = _guard_run(_RecordingAlgo(3.0), 1e150, 1e300, 28)
+        one_run = [1e150 * (-2.0) ** k for k in range(14)]
+        assert starts == one_run * 2
 
 
 class TestLocatePrior:
