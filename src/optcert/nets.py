@@ -143,7 +143,8 @@ class DenseNet(FlatParams):
             G = G[None, :]
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activation_mask[i]:
-                G = G * (tape.pre_acts[i] > 0)
+                # a float mask: float x bool would cast the mask inside the ufunc
+                G = G * (tape.pre_acts[i] > 0).astype(float)
             np.matmul(G.T, tape.inputs[i], out=self.weight_grads[i])
             if i or input_grad:
                 G = G @ self.weights[i]

@@ -32,13 +32,10 @@ __all__ = [
     "SufficientStats",
     "PacConfig",
     "PacCertificate",
-    "BoundedStatsSpec",
     "sublevel_risk",
     "empirical_sublevel_risk",
-    "phi_prior",
     "build_prior",
     "build_stats",
-    "build_stats_bounded",
     "kappa_tilde",
     "pac_objective",
     "optimize_lambda",
@@ -152,40 +149,6 @@ def empirical_sublevel_risk(
     return sublevel_risk(rollout(algo, instances, x0, k), spec, p_hat)
 
 
-def phi_prior(risk: float, p_hat: float, spec: SublevelSpec) -> float:
-    """Penalized prior score: negated risk inside the band, -inf outside."""
-    if spec.p_l <= p_hat <= spec.p_u:
-        return -risk
-    return -np.inf
-
-
-@dataclass(frozen=True)
-class BoundedStatsSpec:
-    """Statistics for the almost-sure bound ``loss <= C * rho * initial_loss``."""
-
-    rho: np.ndarray  # per support point
-    bound_const: float
-    second_moment: float  # empirical estimate of E[initial_loss^2]
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        if np.any(rho < 0) or self.bound_const < 0 or self.second_moment < 0:
-            raise ValueError("all bounded-stats inputs must be nonnegative")
-        object.__setattr__(self, "rho", rho)
-
-
-def build_stats_bounded(
-    emp_risks: np.ndarray, bspec: BoundedStatsSpec, n_train: int
-) -> SufficientStats:
-    """Alternative statistics path: plain (unconditioned) empirical risk.
-
-    t1 = -emp_risk, t2 = rho^2 * C^2 * second_moment / N.
-    """
-    emp_risks = np.asarray(emp_risks, dtype=float)
-    t2 = bspec.rho**2 * bspec.bound_const**2 * bspec.second_moment / n_train
-    return SufficientStats(t1=-emp_risks, t2=t2)
-
-
 def build_prior(phi: np.ndarray) -> tuple[DiscreteMeasure, np.ndarray]:
     """Softmax prior over the sample set; -inf entries are dropped.
 
@@ -210,6 +173,7 @@ def build_stats(
     k: int,
     spec: SublevelSpec,
     rng: np.random.Generator,
+    val_losses=None,
 ) -> tuple[SufficientStats, np.ndarray, np.ndarray]:
     """Evaluate t1, t2 and the penalized prior score for each support point.
 
@@ -217,7 +181,12 @@ def build_stats(
     whose estimate leaves [p_l, p_u] get phi = -inf and are later dropped.
     One validation rollout per point gives both the estimate and the prior
     score; feasible points add one training rollout for t1 and t2.
-    Returns (stats, phi_prior, p_hat) over the full point list.
+
+    ``val_losses[j]``, when given, is a rollout matrix of ``points[j]`` over
+    ``val_data`` from ``x0``, such as ``SampleSet.val_losses`` holds.  Its
+    first k + 1 columns replace the validation rollout when it has that
+    many; the results and the rng stream are the same either way.
+    Returns (stats, phi, p_hats) over the full point list.
     """
     x0 = np.asarray(x0, dtype=float)
     m = len(points)
@@ -229,8 +198,11 @@ def build_stats(
     try:
         for j, alpha in enumerate(points):
             algo.set_flat(alpha)
-            val_losses = rollout(algo, val_data, x0, k)
-            res = estimate_from_rollout(val_losses, spec, rng)
+            if val_losses is not None and val_losses[j].shape[1] > k:
+                losses = val_losses[j][:, : k + 1]
+            else:
+                losses = rollout(algo, val_data, x0, k)
+            res = estimate_from_rollout(losses, spec, rng)
             p_hats[j] = res.point_estimate
             inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
             if not inside:
@@ -241,7 +213,7 @@ def build_stats(
             risk, second = empirical_sublevel_risk(
                 algo, train_data, x0, k, spec, res.point_estimate
             )
-            risk_prior, _ = sublevel_risk(val_losses, spec, res.point_estimate)
+            risk_prior, _ = sublevel_risk(losses, spec, res.point_estimate)
             t1[j] = -risk
             t2[j] = second
             phi[j] = -risk_prior

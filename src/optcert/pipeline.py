@@ -371,17 +371,21 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
         if until == "prior_location":
             return loc_record
 
-        try:
-            sample_record = run_stage(
-                "samples",
-                out_dir,
-                lambda: constrained_sample(
+        sampled = []  # the SampleSet, with its validation matrices, when sampled here
+
+        def sample():
+            sampled.append(
+                constrained_sample(
                     learned, splits.prior, splits.val, x0, spec, cfg.sgld_config(), rng
-                ).to_dict(),
+                )
             )
+            return sampled[0].to_dict()
+
+        try:
+            sample_record = run_stage("samples", out_dir, sample)
         except NoFeasiblePointError as exc:
             raise ConstraintNotFoundError(str(exc)) from exc
-        samples = SampleSet.from_dict(sample_record)
+        samples = sampled[0] if sampled else SampleSet.from_dict(sample_record)
         if until == "samples":
             return sample_record
 
@@ -429,7 +433,8 @@ def _stage_locate(learned, splits, x0, cfg, spec, rng):
 def _stage_certify(learned, samples, splits, x0, cfg, spec, rng):
     pac_cfg = cfg.pac_config()
     stats, phi, p_hats = build_stats(
-        learned, samples.points, splits.train, splits.val, x0, cfg.n_train, spec, rng
+        learned, samples.points, splits.train, splits.val, x0, cfg.n_train, spec, rng,
+        val_losses=samples.val_losses,
     )
     if not np.isfinite(phi).any():
         raise ConstraintNotFoundError("every sampled point left the feasible band")

@@ -153,18 +153,20 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         for _ in range(cfg.n_init):
             iterations += 1
             start = state.x_curr
-            loss_val = imitation_loss(algo, reference, inst, start, cfg.segment_len)
-            running += loss_val
-            # gradient: 2/s * sum_k (x_k - y_k)^T dx_k/dalpha, iterates independent
+            # one taped pass gives the imitation loss (as ``imitation_loss``) and
+            # its gradient 2/s * sum_k (x_k - y_k)^T dx_k/dalpha, iterates independent
             st_a = algo.init_state(start)
             st_r = reference.init_state(start)
             grad = np.zeros(algo.num_params)
+            total = 0.0
             for _ in range(cfg.segment_len):
                 next_a, tape = algo.step_with_tape(st_a, inst)
                 st_r = reference.step(st_r, inst)
-                gout = 2.0 * (next_a.x_curr - st_r.x_curr) / cfg.segment_len
-                grad += algo.step_backward(tape, gout)
+                diff = next_a.x_curr - st_r.x_curr
+                total += float(diff @ diff)
+                grad += algo.step_backward(tape, 2.0 * diff / cfg.segment_len)
                 st_a = next_a
+            running += total / cfg.segment_len
             if np.all(np.isfinite(grad)):
                 new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
                 algo.set_flat(new_flat)
@@ -210,9 +212,13 @@ class LocateConfig:
     log_path: str | None = None  # optional CSV progress log (step, ratio_loss, accepted)
 
 
+def _median_loss(losses: np.ndarray) -> float:
+    """Median of a loss vector with non-finite entries read as inf."""
+    return float(np.median(np.where(np.isfinite(losses), losses, np.inf)))
+
+
 def _median_final_loss(algo, instances, x0, k: int) -> float:
-    finals = rollout(algo, instances, x0, k)[:, -1]
-    return float(np.median(np.where(np.isfinite(finals), finals, np.inf)))
+    return _median_loss(rollout(algo, instances, x0, k)[:, -1])
 
 
 def locate_prior(
@@ -226,8 +232,10 @@ def locate_prior(
 ) -> PriorLocation:
     """Constrained stochastic empirical risk minimization of the ratio loss.
 
-    Feasible checkpoints are ranked by their median validation loss after
-    ``target_len`` iterations; the best one is returned.
+    Feasible checkpoints are ranked by their median loss after
+    ``target_len`` iterations on the first ``score_instances`` validation
+    instances; the best one is returned.  The score is read off the
+    constraint check's rollout when that ran at least ``target_len`` steps.
     """
     x0 = np.asarray(x0, dtype=float)
     sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
@@ -235,7 +243,6 @@ def locate_prior(
     # ``loss`` is the loss at ``state``, carried from the step that reached it
     state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
     loss = base_loss
-    score_data = val_data[: cfg.score_instances]
     found = False
     checkpoint = algo.get_flat()
     best_score = np.inf
@@ -260,7 +267,12 @@ def locate_prior(
                 log_rows.append((i, ratio_total, int(inside)))
             if inside:
                 found = True
-                score = _median_final_loss(algo, score_data, x0, cfg.target_len)
+                if res.losses.shape[1] > cfg.target_len:
+                    score = _median_loss(res.losses[: cfg.score_instances, cfg.target_len])
+                else:
+                    score = _median_final_loss(
+                        algo, val_data[: cfg.score_instances], x0, cfg.target_len
+                    )
                 if score <= best_score:
                     best_score = score
                     checkpoint = algo.get_flat()

@@ -9,7 +9,7 @@ according to their (negated) penalized risk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,16 @@ class SgldConfig:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Collected hyperparameter vectors with their estimated probabilities."""
+    """Collected hyperparameter vectors with their estimated probabilities.
+
+    ``val_losses`` holds, per point, the validation rollout matrix its
+    estimate was drawn from.  It lives in memory only: ``to_dict`` leaves it
+    out, and a set read back with ``from_dict`` has None there.
+    """
 
     points: list  # list of 1-d arrays
     estimates: list  # matching sublevel probability estimates
+    val_losses: list | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -84,13 +90,15 @@ def constrained_sample(
     """Sample the prior support by constraint-filtered Langevin proposals.
 
     The starting hyperparameters of ``algo`` are assumed feasible and form
-    the first collected point.
+    the first collected point.  Each point keeps the ``run_length``-step
+    validation rollout of its estimate in ``SampleSet.val_losses``.
     """
     x0 = np.asarray(x0, dtype=float)
     sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     first = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
     points = [algo.get_flat()]
     estimates = [first.point_estimate]
+    val_losses = [first.losses]
     current = algo.get_flat()
     inst = prior_data[rng.integers(len(prior_data))]
     state = algo.init_state(x0)
@@ -119,6 +127,7 @@ def constrained_sample(
             if accepted_since_collect >= cfg.thinning:
                 points.append(proposal)
                 estimates.append(res.point_estimate)
+                val_losses.append(res.losses)
                 accepted_since_collect = 0
         else:
             algo.set_flat(current)
@@ -134,4 +143,4 @@ def constrained_sample(
         else:
             state = carried
     algo.set_flat(current)
-    return SampleSet(points=points, estimates=estimates)
+    return SampleSet(points=points, estimates=estimates, val_losses=val_losses)

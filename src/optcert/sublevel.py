@@ -14,14 +14,16 @@ become index lookups.
 The Beta quantiles are computed with the standard library alone: the
 regularized incomplete beta function is a continued fraction, inverted by
 safeguarded Newton (Halley) steps, and memoized, because a run asks for the
-same few hundred (a, b, q) triples thousands of times.
+same few hundred (a, b, q) triples thousands of times.  The stopping rule
+needs one quantile and one CDF value per posterior, not the two quantiles
+of the interval, and its decision is memoized as well.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "sublevel_indicator",
     "beta_ppf",
     "beta_quantile",
+    "interval_narrower",
     "estimate_probability",
     "estimate_from_rollout",
     "estimate_sublevel_probability",
@@ -84,10 +87,13 @@ class BetaPosterior:
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """The outcome of one estimate; ``losses`` is the rollout matrix it drew from, if any."""
+
     point_estimate: float
     posterior: BetaPosterior
     draws_used: int
     conclusive: bool
+    losses: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def sublevel_threshold(spec: SublevelSpec, initial_loss):
@@ -232,8 +238,16 @@ def beta_quantile(post: BetaPosterior, q: float) -> float:
     return beta_ppf(post.count_a, post.count_b, q)
 
 
-def _interval_width(post: BetaPosterior, spec: SublevelSpec) -> float:
-    return beta_quantile(post, spec.q_u) - beta_quantile(post, spec.q_l)
+@functools.lru_cache(maxsize=4096)
+def interval_narrower(a: float, b: float, q_l: float, q_u: float, tol: float) -> bool:
+    """Whether the (q_l, q_u) quantile interval of Beta(a, b) is narrower than ``tol``; memoized.
+
+    The CDF ``I_x(a, b)`` increases strictly, so ``x_u - x_l < tol`` holds
+    exactly when ``I_{x_l + tol}(a, b) > q_u``: one quantile and one CDF
+    evaluation decide it, where the width itself takes two quantiles.
+    """
+    x = beta_ppf(a, b, q_l) + tol
+    return x >= 1.0 or _cdf_residual(a, b, x, q_u, _log_beta(a, b)) > 0.0
 
 
 def estimate_probability(bernoulli_stream, spec: SublevelSpec) -> EstimateResult:
@@ -246,7 +260,7 @@ def estimate_probability(bernoulli_stream, spec: SublevelSpec) -> EstimateResult
     post = BetaPosterior()
     stream = iter(bernoulli_stream)
     draws = 0
-    while _interval_width(post, spec) >= spec.width_tol:
+    while not interval_narrower(post.count_a, post.count_b, spec.q_l, spec.q_u, spec.width_tol):
         if draws >= spec.max_draws:
             return EstimateResult(post.mean, post, draws, conclusive=False)
         post.update(int(next(stream)))
@@ -260,7 +274,8 @@ def estimate_from_rollout(
     """Estimate p(alpha) from the rollout loss matrix of a set of instances.
 
     Each draw picks a row with replacement, one ``rng.integers`` call per
-    draw, and reads its sublevel outcome.
+    draw, and reads its sublevel outcome.  The result carries ``losses``,
+    so a caller can reduce the same matrix again instead of rolling out.
     """
     hits = sublevel_hits(losses, spec)
 
@@ -268,7 +283,7 @@ def estimate_from_rollout(
         while True:
             yield int(hits[rng.integers(len(hits))])
 
-    return estimate_probability(stream(), spec)
+    return replace(estimate_probability(stream(), spec), losses=losses)
 
 
 def estimate_sublevel_probability(

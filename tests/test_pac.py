@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from optcert.algorithms import AlgoState
+from optcert import pac
+from optcert.algorithms import AlgoState, LearnedQuadArch, QuadLearnedAlgo
 from optcert.pac import (
-    BoundedStatsSpec,
     CertificateMismatchError,
     DiscreteMeasure,
     PacConfig,
@@ -11,16 +11,16 @@ from optcert.pac import (
     build_posterior,
     build_prior,
     build_stats,
-    build_stats_bounded,
     certify,
     empirical_sublevel_risk,
     kappa_tilde,
     kl_divergence,
     optimize_lambda,
     pac_objective,
-    phi_prior,
     point_estimate,
 )
+from optcert.problems import gen_quadratics
+from optcert.sampler import SgldConfig, constrained_sample
 from optcert.sublevel import SublevelSpec
 
 
@@ -223,25 +223,6 @@ class TestCertify:
         assert obj["weights"] == [1.0]
 
 
-class TestBoundedStats:
-    def test_zero_rho(self):
-        stats = build_stats_bounded(np.array([1.0, 2.0]),
-                                    BoundedStatsSpec(rho=np.zeros(2), bound_const=3.0,
-                                                     second_moment=4.0), 10)
-        np.testing.assert_array_equal(stats.t2, np.zeros(2))
-        np.testing.assert_array_equal(stats.t1, [-1.0, -2.0])
-
-    def test_unit_constants(self):
-        stats = build_stats_bounded(np.zeros(3),
-                                    BoundedStatsSpec(rho=np.ones(3), bound_const=1.0,
-                                                     second_moment=6.0), 3)
-        np.testing.assert_allclose(stats.t2, np.full(3, 2.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundedStatsSpec(rho=np.array([-1.0]), bound_const=1.0, second_moment=1.0)
-
-
 class _FixedAlgo:
     """Jumps straight to a prescribed point after one step (for risk tests)."""
 
@@ -285,16 +266,6 @@ class TestEmpiricalRisk:
         algo = _FixedAlgo([100.0])
         risk, second = empirical_sublevel_risk(algo, [0.0, 0.0], np.array([1.0]), 1, spec, 1.0)
         assert risk == 0.0 and second == 0.0
-
-
-class TestPhiPrior:
-    def test_inside_band(self):
-        spec = SublevelSpec(p_l=0.9, p_u=1.0)
-        assert phi_prior(2.5, 0.95, spec) == -2.5
-
-    def test_outside_band(self):
-        spec = SublevelSpec(p_l=0.9, p_u=1.0)
-        assert phi_prior(2.5, 0.5, spec) == -np.inf
 
 
 class TestBuildStats:
@@ -342,3 +313,52 @@ class TestBuildStats:
         assert phi[1] == -np.inf and stats.t1[1] == 0.0 and stats.t2[1] == 0.0
         # and the algo's own parameters were restored
         assert algo.get_flat()[0] == pytest.approx(0.5)
+
+
+class TestBuildStatsFromSamplerMatrices:
+    """``build_stats`` reading the sampler's validation matrices equals rolling out again."""
+
+    RUN_LENGTH = 12
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        insts = gen_quadratics(30, 4, (1.0, 2.0), (5.0, 9.0), 0)
+        algo = QuadLearnedAlgo(LearnedQuadArch.init(np.random.default_rng(4)))
+        cfg = SgldConfig(step0=1e-4, n_samples=4, thinning=1,
+                         run_length=self.RUN_LENGTH, target_len=self.RUN_LENGTH)
+        samples = constrained_sample(algo, insts[:10], insts[10:20], np.zeros(4),
+                                     SublevelSpec(p_l=0.0), cfg, np.random.default_rng(2))
+        return algo, insts, samples
+
+    def _build(self, sampled, k, val_losses, monkeypatch):
+        algo, insts, samples = sampled
+        val_data = insts[10:20]
+        val_rollouts = []
+        rollout = pac.rollout
+
+        def counted(algo, instances, x0, k, step_seconds=None):
+            val_rollouts.append(instances is val_data)
+            return rollout(algo, instances, x0, k, step_seconds)
+
+        monkeypatch.setattr(pac, "rollout", counted)
+        rng = np.random.default_rng(5)
+        stats, phi, p_hats = build_stats(algo, samples.points, insts[20:], val_data, np.zeros(4),
+                                         k, SublevelSpec(p_l=0.8), rng, val_losses=val_losses)
+        monkeypatch.undo()
+        arrays = [a.tobytes() for a in (stats.t1, stats.t2, phi, p_hats)]
+        return arrays, rng.bit_generator.state, sum(val_rollouts)
+
+    @pytest.mark.parametrize("k", [RUN_LENGTH, RUN_LENGTH - 5, RUN_LENGTH + 3])
+    def test_same_stats_and_rng_stream(self, sampled, k, monkeypatch):
+        samples = sampled[2]
+        held = self._build(sampled, k, samples.val_losses, monkeypatch)
+        fresh = self._build(sampled, k, None, monkeypatch)
+        assert held[:2] == fresh[:2]
+        assert fresh[2] == len(samples)
+        # the matrices stand in for the validation rollouts when they are long enough
+        assert held[2] == (0 if k <= self.RUN_LENGTH else len(samples))
+
+    def test_support_has_feasible_and_dropped_points(self, sampled, monkeypatch):
+        # the equality above covers both branches of build_stats
+        phi = np.frombuffer(self._build(sampled, self.RUN_LENGTH, None, monkeypatch)[0][2])
+        assert np.isfinite(phi).any() and not np.isfinite(phi).all()

@@ -222,6 +222,34 @@ class TestInfeasibleSupport:
         assert res.exit_code == 2, res.output
 
 
+class TestValidationHandOff:
+    """The certificate stage reads the sampler's validation matrices when the samples stage ran."""
+
+    def test_straight_run_passes_them_and_a_resume_rolls_out(self, completed_run, tmp_path, monkeypatch):
+        out, _ = completed_run
+        calls = []
+        build_stats = pipeline.build_stats
+
+        def recording(*args, val_losses=None, **kwargs):
+            calls.append(val_losses)
+            return build_stats(*args, val_losses=val_losses, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_stats", recording)
+        run_pipeline(tiny_config(), tmp_path / "straight", until="certificate")
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        for stage in STAGE_ORDER[: STAGE_ORDER.index("certificate")]:
+            shutil.copy(out / f"{stage}.json", resumed)
+        run_pipeline(tiny_config(), resumed, until="certificate")
+        straight, from_artifact = calls
+        points = json.loads((out / "samples.json").read_text())["points"]
+        assert len(straight) == len(points)
+        assert all(m.shape == (10, 11) for m in straight)  # 10 validation instances, run_length 10
+        assert from_artifact is None
+        straight_cert = (tmp_path / "straight" / "certificate.json").read_bytes()
+        assert straight_cert == (out / "certificate.json").read_bytes()
+
+
 class TestDataStage:
     def test_split_isolation(self, tmp_path):
         record = run_pipeline(tiny_config(), tmp_path, until="data")

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from optcert import prior_training
 
 from optcert.algorithms import (
     AlgoState,
@@ -17,7 +21,7 @@ from optcert.prior_training import (
     locate_prior,
 )
 from optcert.problems import gen_quadratics
-from optcert.sublevel import SublevelSpec
+from optcert.sublevel import SublevelSpec, estimate_sublevel_probability
 
 
 class TestScheduler:
@@ -269,3 +273,60 @@ class TestLocatePrior:
                                                 np.random.default_rng(42))
         assert recheck.conclusive
         assert recheck.point_estimate >= spec.p_l - spec.width_tol
+
+
+class TestLocateScore:
+    """A feasible checkpoint's score is read off the constraint check's rollout."""
+
+    @pytest.mark.parametrize("target_len", [20, 13])
+    def test_score_from_check_matrix_equals_separate_rollout(self, target_len):
+        algo, insts, x0 = _quad_setup(seed=9, count=20, dim=4)
+        res = estimate_sublevel_probability(algo, insts[10:], x0, 20, SublevelSpec(),
+                                            np.random.default_rng(0))
+        from_check = prior_training._median_loss(res.losses[:5, target_len])
+        separate = prior_training._median_final_loss(algo, insts[10:15], x0, target_len)
+        assert from_check == separate
+
+    def _locate(self, monkeypatch, shorten, target_len):
+        algo, insts, x0 = _quad_setup(seed=9, count=20, dim=4)
+        rng = np.random.default_rng(9)
+        find_initialization(algo, HbfAlgo(hbf_params(1.0, 9.0)), insts[:10], x0,
+                            StageConfig(n_init=50, eps_init=1.0, max_iterations=300), rng)
+        estimate = prior_training.estimate_sublevel_probability
+        score, median = prior_training._median_final_loss, prior_training._median_loss
+        separate, scores = [], []
+
+        def check(*args, **kwargs):
+            # a matrix cut to target_len columns makes locate_prior roll out to score
+            res = estimate(*args, **kwargs)
+            return dataclasses.replace(res, losses=res.losses[:, :target_len]) if shorten else res
+
+        def counted(*args, **kwargs):
+            separate.append(1)
+            return score(*args, **kwargs)
+
+        def recorded(losses):
+            scores.append(median(losses))
+            return scores[-1]
+
+        monkeypatch.setattr(prior_training, "estimate_sublevel_probability", check)
+        monkeypatch.setattr(prior_training, "_median_final_loss", counted)
+        monkeypatch.setattr(prior_training, "_median_loss", recorded)
+        cfg = LocateConfig(n_max=600, check_every=100, run_length=20,
+                           target_len=target_len, score_instances=5)
+        loc = locate_prior(algo, insts[:10], insts[10:], x0, SublevelSpec(p_l=0.5), cfg, rng)
+        monkeypatch.undo()
+        return loc, len(separate), scores
+
+    def test_locate_equals_scoring_by_separate_rollouts(self, monkeypatch):
+        held, rollouts_held, scores_held = self._locate(monkeypatch, False, 20)
+        fresh, rollouts_fresh, scores_fresh = self._locate(monkeypatch, True, 20)
+        assert held.constraint_found and fresh.constraint_found
+        assert len(set(scores_held)) > 1 and scores_held == scores_fresh
+        assert held.alpha.tobytes() == fresh.alpha.tobytes()
+        assert held.estimate == fresh.estimate
+        assert rollouts_held == 0 and rollouts_fresh == len(scores_fresh)
+
+    def test_longer_target_rolls_out_separately(self, monkeypatch):
+        loc, rollouts, scores = self._locate(monkeypatch, False, 25)
+        assert loc.constraint_found and rollouts == len(scores) > 0

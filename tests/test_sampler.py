@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from optcert.algorithms import AlgoState
+from optcert.algorithms import AlgoState, rollout
 from optcert.sampler import (
     NoFeasiblePointError,
     SampleSet,
@@ -146,3 +146,18 @@ class TestConstrainedSample:
                                      np.random.default_rng(6))
             runs.append(np.array(out.points))
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_keeps_each_points_validation_matrix_in_memory_only(self):
+        algo = _BandAlgo(0.5)
+        val = [None, None, None]
+        cfg = SgldConfig(step0=1e-2, n_samples=4, thinning=2, run_length=10, target_len=10)
+        out = constrained_sample(algo, self.data, val, self.x0, self.spec, cfg,
+                                 np.random.default_rng(7))
+        assert len(out.val_losses) == len(out.points)
+        for point, losses in zip(out.points, out.val_losses):
+            algo.set_flat(point)
+            assert losses.tobytes() == rollout(algo, val, self.x0, 10).tobytes()
+        # the artifact holds only the points and their estimates
+        record = out.to_dict()
+        assert set(record) == {"points", "estimates"}
+        assert SampleSet.from_dict(record).val_losses is None

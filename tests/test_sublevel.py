@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import optcert
-from optcert.algorithms import AlgoState, HbfAlgo, hbf_params
+from optcert.algorithms import AlgoState, HbfAlgo, hbf_params, rollout
 from optcert.problems import QuadraticInstance
 from optcert.sublevel import (
     BetaPosterior,
@@ -17,6 +17,7 @@ from optcert.sublevel import (
     beta_quantile,
     estimate_probability,
     estimate_sublevel_probability,
+    interval_narrower,
     sublevel_indicator,
     sublevel_threshold,
 )
@@ -168,7 +169,34 @@ class TestEstimateProbability:
         assert all(abs(e - 0.8) < 0.15 for e in ests)
 
 
+class TestIntervalNarrower:
+    def test_agrees_with_the_quantile_width(self):
+        # the width of the default interval falls through 0.075 between these counts
+        spec = SublevelSpec()
+        for a, b in itertools.product((1.0, 2.0, 5.0, 40.0, 59.0, 300.0), (1.0, 3.0, 30.0, 250.0, 700.0)):
+            for tol in (0.01, 0.075, 0.3, 0.99):
+                width = beta_ppf(a, b, spec.q_u) - beta_ppf(a, b, spec.q_l)
+                assert interval_narrower(a, b, spec.q_l, spec.q_u, tol) == (width < tol), (a, b, tol)
+
+    def test_lower_quantile_plus_tolerance_past_one(self):
+        # x_l + tol >= 1 leaves no room for a wider interval
+        assert interval_narrower(1.0, 1.0, 0.01, 0.99, 0.99)
+        assert not interval_narrower(1.0, 1.0, 0.01, 0.99, 0.9)
+
+    def test_cached_equals_uncached(self):
+        args = (17.0, 4.0, 0.01, 0.99, 0.075)
+        assert interval_narrower(*args) == interval_narrower.__wrapped__(*args)
+
+
 class TestEstimateSublevel:
+    def test_result_carries_the_rollout_matrix(self):
+        algo = HbfAlgo(hbf_params(1.0, 4.0))
+        insts = [QuadraticInstance(diag=np.array([1.0, 4.0]), rhs=np.array([r, 0.0])) for r in (1.0, -2.0)]
+        x0 = np.array([3.0, -2.0])
+        res = estimate_sublevel_probability(algo, insts, x0, 7, SublevelSpec(), np.random.default_rng(0))
+        assert res.losses.tobytes() == rollout(algo, insts, x0, 7).tobytes()
+        assert estimate_probability(itertools.repeat(1), SublevelSpec()).losses is None
+
     def test_on_mixed_pool(self):
         # half the pool converges under the indicator, half diverges; the
         # estimate should land near 0.5
@@ -231,6 +259,21 @@ class TestBetaQuantileAgainstScipy:
             )
             assert abs(ours - width[i]) <= 1e-10
             assert (ours < spec.width_tol) == (width[i] < spec.width_tol), (a[i], b[i])
+
+
+    def test_narrower_decides_as_the_scipy_width(self, betaincinv):
+        # the stopping decision from one quantile and one CDF value, on every
+        # integer pair whose reference width lies within 1e-4 of the tolerance
+        spec = SublevelSpec()
+        totals = np.arange(2, 1303)
+        a = np.concatenate([np.arange(1, s) for s in totals]).astype(float)
+        b = np.repeat(totals, totals - 1) - a
+        width = betaincinv(a, b, spec.q_u) - betaincinv(a, b, spec.q_l)
+        near = np.flatnonzero(np.abs(width - spec.width_tol) < 1e-4)
+        assert len(near) > 1000
+        for i in near:
+            narrower = interval_narrower.__wrapped__(a[i], b[i], spec.q_l, spec.q_u, spec.width_tol)
+            assert narrower == (width[i] < spec.width_tol), (a[i], b[i])
 
 
 def test_quantile_matches_scipy_reference():
