@@ -18,8 +18,9 @@ scores and reports reduce over.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,10 +98,39 @@ def preprocess(v: np.ndarray):
     return units, np.log1p(norms[..., 0])
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Coordinate-wise shrinkage sign(v) * max(|v| - t, 0)."""
+def _preprocess_into(v: np.ndarray, units: np.ndarray, log_norms: np.ndarray) -> None:
+    """``preprocess`` of each row of the (B, n) matrix ``v``, written into ``units`` and ``log_norms``.
+
+    One row, as in every taped step, takes a scalar norm and no temporaries;
+    the bits are those of ``preprocess``.
+    """
+    if len(v) == 1:
+        norm = math.sqrt(v[0] @ v[0])
+        if norm != 0.0:
+            np.divide(v[0], norm, out=units[0])
+        else:
+            units[0] = 0.0
+        log_norms[0] = np.log1p(norm)
+    else:
+        units[...], log_norms[...] = preprocess(v)
+
+
+def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinate-wise shrinkage sign(v) * max(|v| - t, 0), into ``out`` when given."""
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0), out=out)
+
+
+def _step_tape(arch, tape_type, rows: int, n: int):
+    """The architecture's one step tape for (rows, n) iterates, reallocated only when that shape changes.
+
+    Every taped step refills it, so a tape is valid until the next taped
+    step on ``arch``; untaped steps use throwaway buffers and never touch it.
+    """
+    tape = arch.tape
+    if tape is None or tape.shape != (rows, n):
+        tape = arch.tape = tape_type(arch, rows, n, taped=True)
+    return tape
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +145,14 @@ _QUAD_MASK = [True, False, True, False, True, False]
 
 @dataclass(eq=False)
 class LearnedQuadArch(FlatParams):
-    """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order."""
+    """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order.
+
+    ``tape`` is the step tape that every taped step refills.
+    """
 
     direction_net: DenseNet
     step_net: DenseNet
+    tape: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.params, self.grads = pack_params([self.direction_net, self.step_net])
@@ -131,36 +165,43 @@ class LearnedQuadArch(FlatParams):
         )
 
 
-@dataclass
 class _QuadStepTape:
-    dir_tape: object
-    step_tape: object
-    direction: np.ndarray  # (B, n)
-    step_size: np.ndarray  # (B,)
+    """The buffers of one learned quadratic step over (rows, n) iterates.
+
+    ``channels`` is channel-major, (3, rows, n), so every channel is
+    contiguous; the direction net reads its (rows * n, 3) view ``dir_in``.
+    Taped, it holds a tape per net, and ``direction`` (rows, n) and
+    ``step_size`` (rows,) are views of their outputs.
+    """
+
+    def __init__(self, arch: LearnedQuadArch, rows: int, n: int, taped: bool):
+        self.shape = (rows, n)
+        self.channels = np.empty((3, rows, n))
+        self.dir_in = self.channels.reshape(3, rows * n).T
+        self.norms = np.empty((rows, 2))
+        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
+        self.step_tape = arch.step_net.new_tape(rows) if taped else None
+        self.direction = self.step_size = None  # set by each step
 
 
 def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool = True):
     """One learned step on one instance, or on the rows of a ``QuadraticBatch``.
 
     The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
-    norm rows.  Returns the next state and the tape (None unless ``tape``).
+    norm rows.  Returns the next state and, with ``tape``, the
+    architecture's step tape, refilled by this step (else None).
     """
     x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
     rows, n = x.shape
-    channels = np.empty((rows, n, 3))
-    norms = np.empty((rows, 2))
-    d1, norms[:, 0] = preprocess(grad_quadratic(x, inst))
-    d2, norms[:, 1] = preprocess(x - x_prev)
-    channels[..., 0] = d1
-    channels[..., 1] = d2
-    np.multiply(d1, d2, out=channels[..., 2])
-    d_out, dir_tape = arch.direction_net.forward(channels.reshape(rows * n, 3), tape)
-    direction = d_out.reshape(rows, n)
-    s_out, step_tape = arch.step_net.forward(norms, tape)
-    step_size = s_out[:, 0]
-    x_next = (x + step_size[:, None] * direction).reshape(state.x_curr.shape)
-    next_state = AlgoState(x_curr=x_next, x_prev=state.x_curr)
-    return next_state, (_QuadStepTape(dir_tape, step_tape, direction, step_size) if tape else None)
+    t = _step_tape(arch, _QuadStepTape, rows, n) if tape else _QuadStepTape(arch, rows, n, taped=False)
+    channels = t.channels
+    _preprocess_into(grad_quadratic(x, inst), channels[0], t.norms[:, 0])
+    _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
+    np.multiply(channels[0], channels[1], out=channels[2])
+    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(rows, n)
+    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
+    x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
+    return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
 
 
 def quad_step_backward(arch: LearnedQuadArch, tape: _QuadStepTape, out_grad: np.ndarray) -> np.ndarray:
@@ -187,8 +228,7 @@ _LASSO_SPARSE_DIMS = [3, 64, 64, 64, 1]
 _LASSO_MASK = [True, True, True, False]
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
+def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     e = np.exp(a[~pos])
@@ -201,6 +241,7 @@ class LearnedLassoArch(FlatParams):
 
     ``params`` holds the three nets' weights in that order, then
     ``prox_tau`` as its last entry; ``grads`` has the same layout.
+    ``tape`` is the step tape that every taped step refills.
     """
 
     def __init__(self, direction_net: DenseNet, step_net: DenseNet, sparsity_net: DenseNet, prox_tau: float):
@@ -209,6 +250,7 @@ class LearnedLassoArch(FlatParams):
         self.sparsity_net = sparsity_net
         self.params, self.grads = pack_params([direction_net, step_net, sparsity_net], extra=1)
         self.prox_tau = prox_tau
+        self.tape = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, prox_tau: float) -> "LearnedLassoArch":
@@ -228,19 +270,31 @@ class LearnedLassoArch(FlatParams):
         self.params[-1] = value
 
 
-@dataclass
 class _LassoStepTape:
-    dir_tape: object
-    step_tape: object
-    sparse_tape: object
-    direction: np.ndarray  # (B, n)
-    step_size: np.ndarray  # (B,)
-    x_tilde: np.ndarray
-    z: np.ndarray
-    gated: np.ndarray  # z * x_tilde, input of the soft threshold
-    thresh: np.ndarray  # prox_tau * reg, one per row
-    y: np.ndarray
-    reg: np.ndarray
+    """The buffers of one learned LASSO step over (rows, n) iterates.
+
+    ``channels`` (4, rows, n) and ``sp_in`` (3, rows, n) are channel-major,
+    so every channel is contiguous; the direction and sparsity nets read
+    their (rows * n, c) views ``dir_in`` and ``sparse_in``, and ``x_tilde``
+    is the first channel of ``sp_in``.  Taped, it holds a tape per net, and
+    ``direction`` (rows, n) and ``step_size`` (rows,) are views of their
+    outputs; ``gated`` is ``z * x_tilde``, the input of the soft threshold
+    ``thresh`` (prox_tau * reg, one per row), and ``y`` its output.
+    """
+
+    def __init__(self, arch: LearnedLassoArch, rows: int, n: int, taped: bool):
+        self.shape = (rows, n)
+        self.channels = np.empty((4, rows, n))
+        self.sp_in = np.empty((3, rows, n))
+        self.dir_in = self.channels.reshape(4, rows * n).T
+        self.sparse_in = self.sp_in.reshape(3, rows * n).T
+        self.norms = np.empty((rows, 3))
+        self.x_tilde = self.sp_in[0]
+        self.z, self.gated, self.y = (np.empty((rows, n)) for _ in range(3))
+        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
+        self.step_tape = arch.step_net.new_tape(rows) if taped else None
+        self.sparse_tape = arch.sparsity_net.new_tape(rows * n) if taped else None
+        self.direction = self.step_size = self.thresh = self.reg = None  # set by each step
 
 
 def lasso_step_forward(
@@ -249,45 +303,33 @@ def lasso_step_forward(
     """One learned step on one instance, or on the rows of a ``LassoBatch``.
 
     The direction and sparsity nets see (B*n, c) coordinate rows and the
-    step net (B, 3) norm rows.  Returns the next state and the tape (None
-    unless ``tape``).
+    step net (B, 3) norm rows.  Returns the next state and, with ``tape``,
+    the architecture's step tape, refilled by this step (else None).
     """
     x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
     rows, n = x.shape
-    reg = reg_column(inst)
-    channels = np.empty((rows, n, 4))
-    norms = np.empty((rows, 3))
-    sp_in = np.empty((rows, n, 3))
-    d1, norms[:, 0] = preprocess(subgrad_lasso(x, inst, ctx))
-    d2, norms[:, 1] = preprocess(x - x_prev)
-    d3, norms[:, 2] = preprocess(reg * np.sign(x))
-    channels[..., 0] = d1
-    channels[..., 1] = d2
-    np.multiply(d1, d2, out=channels[..., 2])
-    channels[..., 3] = d3
-    d_out, dir_tape = arch.direction_net.forward(channels.reshape(rows * n, 4), tape)
-    direction = d_out.reshape(rows, n)
-    s_out, step_tape = arch.step_net.forward(norms, tape)
-    step_size = s_out[:, 0]
-    x_tilde = x + step_size[:, None] * direction
-    sp_in[..., 0] = x_tilde
-    sp_in[..., 1] = x
-    sp_in[..., 2] = d3
-    a_out, sparse_tape = arch.sparsity_net.forward(sp_in.reshape(rows * n, 3), tape)
-    z = _sigmoid(a_out[:, 0]).reshape(rows, n)
-    gated = z * x_tilde
-    thresh = arch.prox_tau * reg
-    y = soft_threshold(gated, thresh)
+    t = _step_tape(arch, _LassoStepTape, rows, n) if tape else _LassoStepTape(arch, rows, n, taped=False)
+    t.reg = reg = reg_column(inst)
+    channels, sp_in = t.channels, t.sp_in
+    _preprocess_into(subgrad_lasso(x, inst, ctx), channels[0], t.norms[:, 0])
+    _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
+    _preprocess_into(reg * np.sign(x), channels[3], t.norms[:, 2])
+    np.multiply(channels[0], channels[1], out=channels[2])
+    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(rows, n)
+    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
+    x_tilde = np.multiply(t.step_size[:, None], t.direction, out=t.x_tilde)
+    np.add(x, x_tilde, out=x_tilde)
+    sp_in[1] = x
+    sp_in[2] = channels[3]
+    z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(rows, n), out=t.z)
+    np.multiply(z, x_tilde, out=t.gated)
+    t.thresh = arch.prox_tau * reg
+    y = soft_threshold(t.gated, t.thresh, out=t.y)
     ny = np.sqrt(row_dot(y, y))
     # rescale so the prox does not change the norm; a zero row stays put
     scale = np.divide(np.sqrt(row_dot(x_tilde, x_tilde)), ny, out=np.ones_like(ny), where=ny > 0)
     x_next = (y * scale[:, None]).reshape(state.x_curr.shape)
-    next_state = AlgoState(x_curr=x_next, x_prev=state.x_curr)
-    if not tape:
-        return next_state, None
-    return next_state, _LassoStepTape(
-        dir_tape, step_tape, sparse_tape, direction, step_size, x_tilde, z, gated, thresh, y, reg
-    )
+    return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
 
 
 def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: np.ndarray) -> np.ndarray:

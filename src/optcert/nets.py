@@ -1,8 +1,8 @@
 """Minimal dense linear algebra for the learned update rules.
 
 Bias-free feed-forward nets with rectified-linear activations, exact
-reverse-mode gradients via a per-pass tape, a from-scratch Adam optimizer,
-and a central finite-difference oracle used by the tests.
+reverse-mode gradients via a reusable tape of preallocated buffers, and a
+from-scratch Adam optimizer.
 
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
@@ -29,7 +29,6 @@ __all__ = [
     "AdamState",
     "pack_params",
     "adam_step",
-    "finite_diff",
 ]
 
 
@@ -52,10 +51,20 @@ class FlatParams:
 
 @dataclass
 class GradTape:
-    """Per-layer inputs and pre-activations cached by one forward pass."""
+    """Buffers of a taped pass over a fixed number of rows; every taped ``forward`` refills them.
+
+    ``inputs[i]`` is layer i's input and ``inputs[-1]`` the net's output; a
+    linear layer's pre-activation is the next layer's input, the same array.
+    ``inputs[0]`` is the caller's array, not a copy.  ``masks`` (float
+    rectifier masks, None for a linear layer) and ``grads`` (``grads[i]`` has
+    layer i's input shape, ``grads[-1]`` the output shape) are scratch of
+    ``backward``.
+    """
 
     inputs: list
     pre_acts: list
+    masks: list
+    grads: list
 
 
 @dataclass(eq=False)
@@ -106,36 +115,55 @@ class DenseNet(FlatParams):
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    def forward(self, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, GradTape | None]:
+    def new_tape(self, rows: int) -> GradTape:
+        """Buffers for taped passes over ``rows`` input rows."""
+        inputs, pre_acts, masks = [None], [], []
+        for W, act in zip(self.weights, self.activation_mask):
+            Z = np.empty((rows, W.shape[0]))
+            pre_acts.append(Z)
+            inputs.append(np.empty_like(Z) if act else Z)
+            masks.append(np.empty_like(Z) if act else None)
+        grads = [np.empty((rows, W.shape[1])) for W in self.weights] + [np.empty_like(pre_acts[-1])]
+        return GradTape(inputs=inputs, pre_acts=pre_acts, masks=masks, grads=grads)
+
+    def forward(self, x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
         """Forward pass; accepts a vector or a (batch, in_dim) matrix.
 
-        With ``tape=False`` no layer inputs are kept, the rectifiers work in
-        place, and the returned tape is None.
+        Without a tape no layer inputs are kept and the rectifiers work in
+        place.  With one (from ``new_tape`` for this many rows) every layer
+        writes into its buffers, and the output returned is a view of the
+        tape, valid until its next pass.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         H = x[None, :] if squeeze else x
         if H.shape[1] != self.in_dim:
             raise ValueError(f"input dim {H.shape[1]} != net in-dim {self.in_dim}")
-        inputs, pre_acts = [], []
-        for W, act in zip(self.weights, self.activation_mask):
-            Z = H @ W.T
-            if tape:
-                inputs.append(H)
-                pre_acts.append(Z)
-            H = np.maximum(Z, 0.0, out=None if tape else Z) if act else Z
-        out = H[0] if squeeze else H
-        return out, (GradTape(inputs=inputs, pre_acts=pre_acts) if tape else None)
+        if tape is None:
+            for W, act in zip(self.weights, self.activation_mask):
+                H = H @ W.T
+                if act:
+                    np.maximum(H, 0.0, out=H)
+        else:
+            if H.shape[0] != tape.pre_acts[0].shape[0]:
+                raise ValueError(f"{H.shape[0]} input rows != tape rows {tape.pre_acts[0].shape[0]}")
+            tape.inputs[0] = H
+            for W, act, Z, H_next in zip(self.weights, self.activation_mask, tape.pre_acts, tape.inputs[1:]):
+                np.dot(H, W.T, out=Z)
+                if act:
+                    np.maximum(Z, 0.0, out=H_next)
+                H = H_next
+        return H[0] if squeeze else H
 
     def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
-        """Exact reverse-mode pass; rectifier subgradient at 0 is 0.
+        """Exact reverse-mode pass over the last taped ``forward``; rectifier subgradient at 0 is 0.
 
         Writes the weight gradients into ``grads`` and returns the input
-        gradient and ``weight_grads``; the next pass overwrites them.  With
-        ``input_grad=False`` the first layer's input-gradient product is
-        skipped and None is returned in its place.
+        gradient (a view of the tape) and ``weight_grads``; the next pass
+        overwrites them.  With ``input_grad=False`` the first layer's
+        input-gradient product is skipped and None is returned in its place.
         """
-        if len(tape.inputs) != len(self.weights):
+        if len(tape.pre_acts) != len(self.weights):
             raise ValueError("tape does not match this net")
         G = np.asarray(out_grad, dtype=float)
         squeeze = G.ndim == 1
@@ -144,10 +172,11 @@ class DenseNet(FlatParams):
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activation_mask[i]:
                 # a float mask: float x bool would cast the mask inside the ufunc
-                G = G * (tape.pre_acts[i] > 0).astype(float)
-            np.matmul(G.T, tape.inputs[i], out=self.weight_grads[i])
+                np.greater(tape.pre_acts[i], 0.0, out=tape.masks[i])
+                G = np.multiply(G, tape.masks[i], out=tape.grads[i + 1])
+            np.dot(G.T, tape.inputs[i], out=self.weight_grads[i])
             if i or input_grad:
-                G = G @ self.weights[i]
+                G = np.dot(G, self.weights[i], out=tape.grads[i])
         if not input_grad:
             return None, self.weight_grads
         return (G[0] if squeeze else G), self.weight_grads
@@ -225,14 +254,3 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[
     np.divide(s1, s2, out=s1)
     np.subtract(params, s1, out=params)
     return params, state
-
-
-def finite_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[i] = h
-        g.flat[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g

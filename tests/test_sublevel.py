@@ -138,6 +138,12 @@ class TestEstimateProbability:
         assert res.posterior.count_a == 59 and res.posterior.count_b == 1
         assert res.point_estimate == pytest.approx(59.0 / 60.0)
 
+    def test_one_opening_miss_stops_at_83(self):
+        res = estimate_probability(itertools.chain([0], itertools.repeat(1)), SublevelSpec())
+        assert res.conclusive
+        assert res.draws_used == 83
+        assert res.posterior.count_a == 83 and res.posterior.count_b == 2
+
     def test_counts_sum(self):
         spec = SublevelSpec(width_tol=0.2)
         rng = np.random.default_rng(0)
