@@ -191,8 +191,9 @@ def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool 
     norm rows.  Returns the next state and, with ``tape``, the
     architecture's step tape, refilled by this step (else None).
     """
-    x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
-    rows, n = x.shape
+    n = state.x_curr.shape[-1]
+    x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
+    rows = len(x)
     t = _step_tape(arch, _QuadStepTape, rows, n) if tape else _QuadStepTape(arch, rows, n, taped=False)
     channels = t.channels
     _preprocess_into(grad_quadratic(x, inst), channels[0], t.norms[:, 0])
@@ -210,7 +211,7 @@ def quad_step_backward(arch: LearnedQuadArch, tape: _QuadStepTape, out_grad: np.
     Each net writes its weight gradients into its slice of ``arch.grads``;
     the result is a copy of that vector.
     """
-    out_grad = np.atleast_2d(out_grad)
+    out_grad = out_grad.reshape(tape.direction.shape)
     g_s = row_dot(tape.direction, out_grad)
     g_d = tape.step_size[:, None] * out_grad
     arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1), input_grad=False)
@@ -306,8 +307,9 @@ def lasso_step_forward(
     step net (B, 3) norm rows.  Returns the next state and, with ``tape``,
     the architecture's step tape, refilled by this step (else None).
     """
-    x, x_prev = np.atleast_2d(state.x_curr, state.x_prev)
-    rows, n = x.shape
+    n = state.x_curr.shape[-1]
+    x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
+    rows = len(x)
     t = _step_tape(arch, _LassoStepTape, rows, n) if tape else _LassoStepTape(arch, rows, n, taped=False)
     t.reg = reg = reg_column(inst)
     channels, sp_in = t.channels, t.sp_in
