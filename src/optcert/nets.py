@@ -1,8 +1,8 @@
 """Minimal dense linear algebra for the learned update rules.
 
 Bias-free feed-forward nets with rectified-linear activations, exact
-reverse-mode gradients via a reusable tape of preallocated buffers, and a
-from-scratch Adam optimizer.
+reverse-mode gradients via a reusable tape of preallocated buffers, and an
+Adam optimizer written in plain NumPy.
 
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
@@ -57,8 +57,8 @@ class GradTape:
     linear layer's pre-activation is the next layer's input, the same array.
     ``inputs[0]`` is the caller's array, not a copy.  ``masks`` (float
     rectifier masks, None for a linear layer) and ``grads`` (``grads[i]`` has
-    layer i's input shape, ``grads[-1]`` the output shape) are scratch of
-    ``backward``.
+    layer i's input shape, ``grads[-1]`` the output shape) are the work
+    buffers of ``backward``.
     """
 
     inputs: list
