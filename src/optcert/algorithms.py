@@ -480,13 +480,29 @@ class _RowBatched:
         return losses
 
 
-class QuadLearnedAlgo(_RowBatched):
-    """Learned update rule bound to the quadratic problem class."""
+class _Quadratic(_RowBatched):
+    """The quadratic problem class: its batch and its loss."""
 
     stack = staticmethod(QuadraticBatch.stack)
 
-    def __init__(self, arch: LearnedQuadArch):
-        self.arch = arch
+    def loss(self, x: np.ndarray, inst):
+        return loss_quadratic(x, inst)
+
+
+class _Lasso(_RowBatched):
+    """The LASSO class, bound to its shared design matrix: its batch and its loss."""
+
+    stack = staticmethod(LassoBatch.stack)
+
+    def __init__(self, ctx: LassoClassContext):
+        self.ctx = ctx
+
+    def loss(self, x: np.ndarray, inst):
+        return loss_lasso(x, inst, self.ctx)
+
+
+class _Learned:
+    """The flat-parameter interface of a learned rule, read from and written to ``self.arch``."""
 
     @property
     def num_params(self) -> int:
@@ -498,11 +514,15 @@ class QuadLearnedAlgo(_RowBatched):
     def set_flat(self, flat: np.ndarray) -> None:
         self.arch.set_flat(flat)
 
+
+class QuadLearnedAlgo(_Learned, _Quadratic):
+    """Learned update rule bound to the quadratic problem class."""
+
+    def __init__(self, arch: LearnedQuadArch):
+        self.arch = arch
+
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedQuadArch.init(rng)
-
-    def loss(self, x: np.ndarray, inst):
-        return loss_quadratic(x, inst)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
         return quad_step_forward(self.arch, state, inst, tape=False)[0]
@@ -517,30 +537,15 @@ class QuadLearnedAlgo(_RowBatched):
         return grad_quadratic(x, inst)
 
 
-class LassoLearnedAlgo(_RowBatched):
+class LassoLearnedAlgo(_Learned, _Lasso):
     """Learned update rule bound to the LASSO class (shared design matrix)."""
 
-    stack = staticmethod(LassoBatch.stack)
-
     def __init__(self, arch: LearnedLassoArch, ctx: LassoClassContext):
+        super().__init__(ctx)
         self.arch = arch
-        self.ctx = ctx
-
-    @property
-    def num_params(self) -> int:
-        return self.arch.num_params
-
-    def get_flat(self) -> np.ndarray:
-        return self.arch.get_flat()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.arch.set_flat(flat)
 
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedLassoArch.init(rng, prox_tau=1.0 / self.ctx.lipschitz)
-
-    def loss(self, x: np.ndarray, inst):
-        return loss_lasso(x, inst, self.ctx)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
         return lasso_step_forward(self.arch, state, inst, self.ctx, tape=False)[0]
@@ -555,44 +560,23 @@ class LassoLearnedAlgo(_RowBatched):
         return subgrad_lasso(x, inst, self.ctx)
 
 
-class HbfAlgo(_RowBatched):
-    stack = staticmethod(QuadraticBatch.stack)
-
+class HbfAlgo(_Quadratic):
     def __init__(self, params: HbfParams):
         self.params = params
-
-    def loss(self, x: np.ndarray, inst):
-        return loss_quadratic(x, inst)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
         return hbf_step(self.params, state, inst)
 
 
-class FistaAlgo(_RowBatched):
-    stack = staticmethod(LassoBatch.stack)
-
-    def __init__(self, ctx: LassoClassContext):
-        self.ctx = ctx
-
+class FistaAlgo(_Lasso):
     def init_state(self, x0: np.ndarray) -> FistaState:
         return FistaState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
-
-    def loss(self, x: np.ndarray, inst):
-        return loss_lasso(x, inst, self.ctx)
 
     def step(self, state: FistaState, inst) -> FistaState:
         return fista_step(state, inst, self.ctx)
 
 
-class IstaAlgo(_RowBatched):
-    stack = staticmethod(LassoBatch.stack)
-
-    def __init__(self, ctx: LassoClassContext):
-        self.ctx = ctx
-
-    def loss(self, x: np.ndarray, inst):
-        return loss_lasso(x, inst, self.ctx)
-
+class IstaAlgo(_Lasso):
     def step(self, state: AlgoState, inst) -> AlgoState:
         return ista_step(state, inst, self.ctx)
 

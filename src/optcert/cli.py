@@ -2,7 +2,8 @@
 
 Each subcommand runs the pipeline up to one stage; stage artifacts are
 persisted in the output directory, so later commands reuse earlier results.
-Exit codes: 0 success, 2 no feasible hyperparameter region, 3 stage failure.
+Exit codes: 0 success, 2 no feasible hyperparameter region, 3 stage failure,
+including an output directory written by another config.
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ def _run(config, seed, out, until):
     click.echo(json.dumps(_summary(record)))
 
 
-def _summary(record):
-    if isinstance(record, dict):
-        keep = {
-            k: v
-            for k, v in record.items()
-            if not isinstance(v, (list, dict)) or len(str(v)) < 200
-        }
-        return keep
-    return record
+def _summary(record: dict) -> dict:
+    return {
+        k: v
+        for k, v in record.items()
+        if not isinstance(v, (list, dict)) or len(str(v)) < 200
+    }
 
 
 def _stage_command(name: str, stage: str, help_text: str):

@@ -5,6 +5,12 @@ location, Langevin prior sampling, posterior certification, and test-set
 evaluation.  Each stage writes a JSON artifact into the output directory
 and is skipped on re-runs when its artifact already exists, so interrupted
 experiments resume where they stopped.
+
+Each stage draws from its own random stream, keyed by the config's seed and
+the stage, so a resumed run writes the same artifacts as a straight one.
+Every artifact records the config's hash as ``config_hash``; a reused one
+without that hash (written by another config, or before artifacts carried
+it) raises StaleArtifactError, a StageError: exit 3 on the command line.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,13 +52,14 @@ from .problems import (
     instance_to_json,
     split_dataset,
 )
-from .sampler import NoFeasiblePointError, SampleSet, SgldConfig, constrained_sample
+from .sampler import ConstraintNotFoundError, SampleSet, SgldConfig, constrained_sample
 from .sublevel import SublevelSpec, estimate_from_rollout
 
 __all__ = [
     "ExperimentConfig",
     "ConstraintNotFoundError",
     "StageError",
+    "StaleArtifactError",
     "EvaluationReport",
     "run_pipeline",
     "run_stage",
@@ -60,12 +68,12 @@ __all__ = [
 ]
 
 
-class ConstraintNotFoundError(RuntimeError):
-    """No feasible hyperparameter region was located."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed for a reason other than infeasibility."""
+
+
+class StaleArtifactError(StageError):
+    """A reused artifact does not carry the running config's hash."""
 
 
 @dataclass
@@ -128,7 +136,6 @@ def _probe_arch(algo, instances, x0, rng, tries: int = 20):
     off), which makes the one-step hypergradient identically zero and
     training impossible; redraw the weights in that case.
     """
-    x0 = np.asarray(x0, dtype=float)
     for _ in range(tries):
         state = algo.init_state(x0)
         inst = instances[rng.integers(len(instances))]
@@ -137,39 +144,6 @@ def _probe_arch(algo, instances, x0, rng, tries: int = 20):
             return algo
         algo.reinit(rng)
     raise StageError("could not draw a trainable initialization")
-
-
-def _make_algos(cfg: ExperimentConfig, ctx, rng):
-    """Returns (learned algorithm, baseline algorithm)."""
-    if cfg.problem == "quadratic":
-        learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
-        baseline = HbfAlgo(hbf_params(cfg.m_range[0], cfg.L_range[1]))
-    else:
-        learned = LassoLearnedAlgo(
-            LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx
-        )
-        baseline = FistaAlgo(ctx)
-    return learned, baseline
-
-
-def _gen_data(cfg: ExperimentConfig) -> dict:
-    """The data record: the LASSO context (None for quadratics) and every instance."""
-    total = sum(cfg.sizes)
-    if cfg.problem == "quadratic":
-        instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
-        ctx = None
-    else:
-        ctx, instances = gen_lasso(
-            total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed
-        )
-    return {
-        "context": context_to_json(ctx) if ctx is not None else None,
-        "instances": [instance_to_json(i) for i in instances],
-    }
-
-
-def _load_json(path: Path):
-    return json.loads(path.read_text())
 
 
 def _write_json(fh, obj) -> None:
@@ -219,7 +193,7 @@ def run_stage(name: str, out_dir: Path, compute):
     """Run ``compute`` unless ``<name>.json`` already exists; persist the result."""
     path = out_dir / f"{name}.json"
     if path.exists():
-        return _load_json(path)
+        return json.loads(path.read_text())
     result = compute()
     _dump_json(path, result)
     return result
@@ -318,110 +292,62 @@ def emit_plot_data(report: EvaluationReport, out_dir: Path) -> None:
         w.writerow([*report.sublevel_counts, report.sublevel_point])
 
 
-STAGE_ORDER = ("data", "init", "prior_location", "samples", "certificate", "report")
+def _stage_data(run):
+    """The data record: the LASSO context (None for quadratics) and every instance."""
+    cfg = run.cfg
+    total = sum(cfg.sizes)
+    if cfg.problem == "quadratic":
+        instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
+        ctx = None
+    else:
+        ctx, instances = gen_lasso(
+            total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed
+        )
+    return {
+        "context": context_to_json(ctx) if ctx is not None else None,
+        "instances": [instance_to_json(i) for i in instances],
+    }
 
 
-def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
-    """Run the stages in order, stopping after ``until`` when given.
-
-    Returns the record of the last completed stage.  Raises
-    ConstraintNotFoundError when no feasible region exists and StageError
-    for other failures.
-    """
-    if until is not None and until not in STAGE_ORDER:
-        raise ValueError(f"unknown stage: {until!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    spec = cfg.sublevel_spec()
-    x0 = np.zeros(cfg.dim)
-
+def _load_data(run, record):
     # instances and LASSO context both come from the artifact; JSON keeps
     # every bit of a float, so they equal the generated data
-    data_record = run_stage("data", out_dir, lambda: _gen_data(cfg))
-    ctx = data_record["context"]
-    if ctx is not None:
-        ctx = context_from_json(ctx)
-    instances = [instance_from_json(o) for o in data_record["instances"]]
-    splits = split_dataset(instances, cfg.sizes)
-    if until == "data":
-        return data_record
-
-    learned, baseline = _make_algos(cfg, ctx, rng)
-    learned = _probe_arch(learned, splits.prior, x0, rng)
-
-    try:
-        init_record = run_stage(
-            "init",
-            out_dir,
-            lambda: _stage_init(learned, baseline, splits, x0, cfg, rng),
-        )
-        learned.set_flat(init_record["alpha"])
-        if until == "init":
-            return init_record
-
-        loc_record = run_stage(
-            "prior_location",
-            out_dir,
-            lambda: _stage_locate(learned, splits, x0, cfg, spec, rng),
-        )
-        if not loc_record["found"]:
-            raise ConstraintNotFoundError("prior location left the feasible band")
-        learned.set_flat(loc_record["alpha"])
-        if until == "prior_location":
-            return loc_record
-
-        sampled = []  # the SampleSet, with its validation matrices, when sampled here
-
-        def sample():
-            sampled.append(
-                constrained_sample(
-                    learned, splits.prior, splits.val, x0, spec, cfg.sgld_config(), rng
-                )
-            )
-            return sampled[0].to_dict()
-
-        try:
-            sample_record = run_stage("samples", out_dir, sample)
-        except NoFeasiblePointError as exc:
-            raise ConstraintNotFoundError(str(exc)) from exc
-        samples = sampled[0] if sampled else SampleSet.from_dict(sample_record)
-        if until == "samples":
-            return sample_record
-
-        cert_record = run_stage(
-            "certificate",
-            out_dir,
-            lambda: _stage_certify(learned, samples, splits, x0, cfg, spec, rng),
-        )
-        learned.set_flat(cert_record["point_alpha"])
-        if until == "certificate":
-            return cert_record
-
-        report_record = run_stage(
-            "report",
-            out_dir,
-            lambda: _stage_report(
-                learned, baseline, splits, x0, cfg, spec, cert_record["bound"], rng, out_dir
-            ),
-        )
-    except ConstraintNotFoundError:
-        raise
-    except Exception as exc:
-        raise StageError(str(exc)) from exc
-    if until == "report":
-        return report_record
-    return cert_record
+    ctx = record["context"]
+    run.ctx = context_from_json(ctx) if ctx is not None else None
+    instances = [instance_from_json(o) for o in record["instances"]]
+    run.splits = split_dataset(instances, run.cfg.sizes)
 
 
-def _stage_init(learned, baseline, splits, x0, cfg, rng):
-    res = find_initialization(learned, baseline, splits.prior, x0, cfg.stage_config(), rng)
+def _algos(run):
+    """The learned and baseline algorithms, built and probed from the init stage's stream on first use."""
+    if run.learned is None:
+        cfg, ctx, rng = run.cfg, run.ctx, run.rng
+        if cfg.problem == "quadratic":
+            learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
+            run.baseline = HbfAlgo(hbf_params(cfg.m_range[0], cfg.L_range[1]))
+        else:
+            learned = LassoLearnedAlgo(LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx)
+            run.baseline = FistaAlgo(ctx)
+        run.learned = _probe_arch(learned, run.splits.prior, run.x0, rng)
+    return run.learned, run.baseline
+
+
+def _stage_init(run):
+    learned, baseline = _algos(run)
+    res = find_initialization(
+        learned, baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
+    )
     return {"alpha": res.alpha.tolist(), "converged": bool(res.converged)}
 
 
-def _stage_locate(learned, splits, x0, cfg, spec, rng):
+def _load_init(run, record):
+    _algos(run)[0].set_flat(record["alpha"])
+
+
+def _stage_locate(run):
     loc = locate_prior(
-        learned, splits.prior, splits.val, x0, spec, cfg.locate_config(), rng
+        run.learned, run.splits.prior, run.splits.val, run.x0, run.spec,
+        run.cfg.locate_config(), run.rng,
     )
     return {
         "alpha": loc.alpha.tolist(),
@@ -430,36 +356,109 @@ def _stage_locate(learned, splits, x0, cfg, spec, rng):
     }
 
 
-def _stage_certify(learned, samples, splits, x0, cfg, spec, rng):
-    pac_cfg = cfg.pac_config()
+def _load_locate(run, record):
+    if not record["found"]:
+        raise ConstraintNotFoundError("prior location left the feasible band")
+    run.learned.set_flat(record["alpha"])
+
+
+def _stage_sample(run):
+    run.samples = constrained_sample(
+        run.learned, run.splits.prior, run.splits.val, run.x0, run.spec,
+        run.cfg.sgld_config(), run.rng,
+    )
+    return run.samples.to_dict()
+
+
+def _load_samples(run, record):
+    if run.samples is None:  # read back, without the validation matrices
+        run.samples = SampleSet.from_dict(record)
+
+
+def _stage_certify(run):
+    samples = run.samples
     stats, phi, p_hats = build_stats(
-        learned, samples.points, splits.train, splits.val, x0, cfg.n_train, spec, rng,
-        val_losses=samples.val_losses,
+        run.learned, samples.points, run.splits.train, run.splits.val, run.x0,
+        run.cfg.n_train, run.spec, run.rng, val_losses=samples.val_losses,
     )
     if not np.isfinite(phi).any():
         raise ConstraintNotFoundError("every sampled point left the feasible band")
     prior, kept = build_prior(phi)
     kept_stats = SufficientStats(t1=stats.t1[kept], t2=stats.t2[kept])
-    cert = certify(prior, kept_stats, pac_cfg)
+    cert = certify(prior, kept_stats, run.cfg.pac_config())
     point_alpha = samples.points[kept[cert.point_index]]
     return cert.to_dict(
-        config_hash=cfg.hash(),
         kept_indices=kept.tolist(),
         p_hats=p_hats.tolist(),
         point_alpha=np.asarray(point_alpha, dtype=float).tolist(),
     )
 
 
-def _stage_report(learned, baseline, splits, x0, cfg, spec, bound, rng, out_dir):
+def _load_certificate(run, record):
+    run.learned.set_flat(record["point_alpha"])
+    run.bound = record["bound"]
+
+
+def _stage_report(run):
     report = evaluate(
-        learned, baseline, splits.test, x0, cfg.n_train, bound, spec, rng
+        run.learned, run.baseline, run.splits.test, run.x0, run.cfg.n_train,
+        run.bound, run.spec, run.rng,
     )
-    emit_plot_data(report, out_dir)
+    emit_plot_data(report, run.out_dir)
     lp = report.percentiles("learned")
     bp = report.percentiles("baseline")
     return {
         "learned_median_final": float(lp["p50"][-1]),
         "baseline_median_final": float(bp["p50"][-1]),
-        "bound": bound,
+        "bound": report.bound,
         "sublevel_point": report.sublevel_point,
     }
+
+
+# (name, compute, load): ``compute(run)`` returns the stage's record, and
+# ``load(run, record)`` hands a computed or reused record on to later stages
+_STAGES = (
+    ("data", _stage_data, _load_data),
+    ("init", _stage_init, _load_init),
+    ("prior_location", _stage_locate, _load_locate),
+    ("samples", _stage_sample, _load_samples),
+    ("certificate", lambda run: _stage_certify(run), _load_certificate),
+    ("report", _stage_report, lambda run, record: None),
+)
+STAGE_ORDER = tuple(name for name, _, _ in _STAGES)
+
+
+def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
+    """Run the stages in order, stopping after ``until`` when given.
+
+    Returns the record of the last completed stage.  Raises
+    ConstraintNotFoundError when no feasible region exists,
+    StaleArtifactError when a reused artifact lacks the config's hash, and
+    StageError for other failures.
+    """
+    if until is not None and until not in STAGE_ORDER:
+        raise ValueError(f"unknown stage: {until!r}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``
+    # and ``splits`` (data), ``learned`` and ``baseline`` (init), ``samples``,
+    # with validation matrices when sampled in this call, and ``bound``
+    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(),
+                          x0=np.zeros(cfg.dim), learned=None, samples=None)
+    stamp = cfg.hash()
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
+    try:
+        for (name, compute, load), seed in zip(_STAGES, seeds):
+            run.rng = np.random.default_rng(seed)
+            record = run_stage(name, out_dir, lambda: {**compute(run), "config_hash": stamp})
+            if record.get("config_hash") != stamp:
+                raise StaleArtifactError(f"{out_dir / f'{name}.json'} has config hash "
+                                         f"{record.get('config_hash')}, not this config's {stamp}")
+            load(run, record)
+            if name == until:
+                break
+    except (ConstraintNotFoundError, StageError):
+        raise
+    except Exception as exc:
+        raise StageError(str(exc)) from exc
+    return record

@@ -20,6 +20,7 @@ from .sublevel import SublevelSpec, estimate_sublevel_probability
 __all__ = [
     "SgldConfig",
     "SampleSet",
+    "ConstraintNotFoundError",
     "NoFeasiblePointError",
     "sgld_step",
     "constrained_sample",
@@ -74,7 +75,11 @@ def sgld_step(alpha: np.ndarray, grad: np.ndarray, step: float, rng: np.random.G
     return alpha - 0.5 * step * grad + noise
 
 
-class NoFeasiblePointError(RuntimeError):
+class ConstraintNotFoundError(RuntimeError):
+    """No feasible hyperparameter region was located."""
+
+
+class NoFeasiblePointError(ConstraintNotFoundError):
     """No proposal satisfied the constraint within the patience window."""
 
 

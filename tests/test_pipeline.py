@@ -14,6 +14,7 @@ from optcert.pipeline import (
     ExperimentConfig,
     STAGE_ORDER,
     StageError,
+    StaleArtifactError,
     run_pipeline,
     run_stage,
 )
@@ -129,6 +130,24 @@ class TestPipeline:
         again = run_pipeline(tiny_config(), out, until="report")
         assert again == record
 
+    def test_without_until_returns_the_report(self, completed_run):
+        out, record = completed_run
+        assert run_pipeline(tiny_config(), out) == record
+
+    @pytest.mark.parametrize("stop", STAGE_ORDER[:-1])
+    def test_stopped_and_resumed_run_writes_the_straight_artifacts(self, completed_run, tmp_path, stop):
+        out, record = completed_run
+        run_pipeline(tiny_config(), tmp_path, until=stop)
+        assert run_pipeline(tiny_config(), tmp_path, until="report") == record
+        for stage in STAGE_ORDER:
+            name = f"{stage}.json"
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_every_artifact_carries_the_config_hash(self, completed_run):
+        out, _ = completed_run
+        for stage in STAGE_ORDER:
+            assert json.loads((out / f"{stage}.json").read_text())["config_hash"] == tiny_config().hash()
+
     def test_determinism_across_directories(self, completed_run, tmp_path):
         out, _ = completed_run
         rerun = run_pipeline(tiny_config(), tmp_path, until="certificate")
@@ -138,6 +157,46 @@ class TestPipeline:
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ValueError):
             run_pipeline(tiny_config(), tmp_path, until="nonsense")
+
+
+class TestStaleArtifacts:
+    """A directory written by another config, or before artifacts carried its hash, is refused."""
+
+    @pytest.fixture(params=["other_seed", "unstamped"])
+    def stale_dir(self, request, completed_run, tmp_path):
+        """(directory, hash its artifacts carry, config seed to run) for each kind of stale directory."""
+        out, _ = completed_run
+        for stage in STAGE_ORDER:
+            shutil.copy(out / f"{stage}.json", tmp_path)
+        if request.param == "other_seed":
+            return tmp_path, tiny_config().hash(), 99
+        for stage in STAGE_ORDER:
+            path = tmp_path / f"{stage}.json"
+            record = json.loads(path.read_text())
+            del record["config_hash"]
+            path.write_text(json.dumps(record))
+        return tmp_path, "None", tiny_config().seed
+
+    def test_run_raises_naming_path_and_hashes(self, stale_dir):
+        out, written, seed = stale_dir
+        cfg = tiny_config(seed=seed)
+        with pytest.raises(StaleArtifactError) as info:
+            run_pipeline(cfg, out, until="certificate")
+        message = str(info.value)
+        assert str(out / "data.json") in message
+        assert written in message and cfg.hash() in message
+
+    def test_posterior_command_exits_three_and_leaves_the_certificate(self, stale_dir):
+        out, written, seed = stale_dir
+        cert = (out / "certificate.json").read_bytes()
+        cfg_path = out / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(tiny_config())))
+        res = CliRunner().invoke(
+            main, ["posterior", "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)]
+        )
+        assert res.exit_code == 3, res.output
+        assert written in res.output and tiny_config(seed=seed).hash() in res.output
+        assert (out / "certificate.json").read_bytes() == cert
 
 
 class TestAtomicArtifacts:
