@@ -376,17 +376,16 @@ def _load_samples(run, record):
 
 
 def _stage_certify(run):
-    samples = run.samples
     stats, phi, p_hats = build_stats(
-        run.learned, samples.points, run.splits.train, run.splits.val, run.x0,
-        run.cfg.n_train, run.spec, run.rng, val_losses=samples.val_losses,
+        run.learned, run.samples.points, run.splits.train, run.splits.val, run.x0,
+        run.cfg.n_train, run.spec, run.rng, val_losses=run.samples.val_losses,
     )
     if not np.isfinite(phi).any():
         raise ConstraintNotFoundError("every sampled point left the feasible band")
     prior, kept = build_prior(phi)
     kept_stats = SufficientStats(t1=stats.t1[kept], t2=stats.t2[kept])
     cert = certify(prior, kept_stats, run.cfg.pac_config())
-    point_alpha = samples.points[kept[cert.point_index]]
+    point_alpha = run.samples.points[kept[cert.point_index]]
     return cert.to_dict(
         kept_indices=kept.tolist(),
         p_hats=p_hats.tolist(),
@@ -416,7 +415,8 @@ def _stage_report(run):
 
 
 # (name, compute, load): ``compute(run)`` returns the stage's record, and
-# ``load(run, record)`` hands a computed or reused record on to later stages
+# ``load(run, record)`` hands a computed or reused record on to later stages;
+# ``_stage_certify`` is looked up at call time, so that a test can replace it
 _STAGES = (
     ("data", _stage_data, _load_data),
     ("init", _stage_init, _load_init),
