@@ -342,3 +342,68 @@ class TestLocateScore:
     def test_longer_target_rolls_out_separately(self, monkeypatch):
         loc, rollouts, scores = self._locate(monkeypatch, False, 25)
         assert loc.constraint_found and rollouts == len(scores) > 0
+
+
+def _pin(alpha, rng):
+    """The bits of a returned parameter vector and the generator's next draw."""
+    return [float.hex(float(v)) for v in alpha], int(rng.integers(2**62))
+
+
+class TestPinnedLoops:
+    """Bit-exact results of the training loops on the toy rule.
+
+    Each run pins the returned parameters and the generator's next draw, so
+    any change to a loop's arithmetic, or to the number or order of its rng
+    calls, shows here.
+    """
+
+    @pytest.mark.parametrize("seed, alpha, draw", [
+        (0, "0x1.ffffff768fa2fp-2", 2998506345660185245),
+        (1, "0x1.ffffff768fa24p-2", 3318472527161851159),
+    ])
+    def test_locate_with_rollbacks_and_guard_restarts(self, monkeypatch, seed, alpha, draw):
+        # the band admits the rule only where |1 - alpha| > 0.5, and ERM pulls
+        # alpha toward 1: checks reject and roll back; below alpha = 0 the
+        # iterates grow, and the guard restarts the carried trajectory
+        guard, estimate = prior_training._diverged, prior_training.estimate_sublevel_probability
+        seen = {"restarts": 0, "accepts": 0, "rollbacks": 0}
+
+        def diverged(*args):
+            out = guard(*args)
+            seen["restarts"] += out
+            return out
+
+        def check(algo, instances, x0, k, spec, rng):
+            res = estimate(algo, instances, x0, k, spec, rng)
+            inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
+            seen["rollbacks"] += seen["accepts"] > 0 and not inside
+            seen["accepts"] += inside
+            return res
+
+        monkeypatch.setattr(prior_training, "_diverged", diverged)
+        monkeypatch.setattr(prior_training, "estimate_sublevel_probability", check)
+        spec = SublevelSpec(p_l=0.0, p_u=0.5, g_scale=0.5**40)
+        cfg = LocateConfig(n_max=600, check_every=20, run_length=20, lr=0.005, segment_len=2,
+                           target_len=5, score_instances=1, guard_factor=2.0, decay_every=100)
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = locate_prior(_ScriptedAlgo(-0.3), [None, None], [None], np.array([1.0]),
+                               spec, cfg, rng)
+        assert _pin(res.alpha, rng) == ([alpha], draw)
+        assert res.estimate == 1.0 / 60.0
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("segment_len, seed, alpha, draw", [
+        (1, 0, "0x1.8c6f01c76da86p-2", 486511105804116091),
+        (1, 1, "0x1.b1c599fabe32ep-2", 3712660118082235302),
+        (2, 0, "0x1.7f79b6f44ce5dp-2", 4589072640179700698),
+        (2, 1, "0x1.5608427a02689p-2", 2718598417547118606),
+    ])
+    def test_find_initialization(self, segment_len, seed, alpha, draw):
+        cfg = StageConfig(segment_len=segment_len, target_len=4, n_init=10, eps_init=0.0,
+                          max_iterations=60, decay_every=7, lr=0.05)
+        rng = np.random.default_rng(seed)
+        res = find_initialization(_ScriptedAlgo(0.8), _ScriptedAlgo(0.3), [None, None],
+                                  np.array([1.0]), cfg, rng)
+        assert not res.converged
+        assert _pin(res.alpha, rng) == ([alpha], draw)

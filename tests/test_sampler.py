@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from optcert import sampler
 from optcert.algorithms import AlgoState, rollout
 from optcert.sampler import (
     NoFeasiblePointError,
@@ -161,3 +162,49 @@ class TestConstrainedSample:
         record = out.to_dict()
         assert set(record) == {"points", "estimates"}
         assert SampleSet.from_dict(record).val_losses is None
+
+
+class _FlakyBandAlgo(_BandAlgo):
+    """The band rule with a NaN hypergradient on every fifth taped step."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.taped = 0
+
+    def step_backward(self, tape, out_grad):
+        self.taped += 1
+        if self.taped % 5 == 0:
+            return np.array([np.nan])
+        return super().step_backward(tape, out_grad)
+
+
+class TestPinnedSampling:
+    """Bit-exact points and the generator's next draw of one toy sampling run."""
+
+    @pytest.mark.parametrize("seed, points, draw", [
+        (1, ["0x1.0000000000000p-1", "0x1.4425f1f1eecccp+0", "0x1.84cf0f61e7cb3p+0",
+             "0x1.d1c31c95d6de5p+0"], 2237548433053531933),
+        (2, ["0x1.0000000000000p-1", "0x1.6507dc94f3ad5p-1", "0x1.e19542c2788b1p-1",
+             "0x1.53bcbf2543979p+0"], 4109977973284749626),
+    ])
+    def test_rejections_and_non_finite_restarts(self, monkeypatch, seed, points, draw):
+        # steps of 1.0 leave the band now and then; every fifth hypergradient
+        # is NaN and restarts the trajectory
+        estimate = sampler.estimate_sublevel_probability
+        rejected = []
+
+        def check(algo, instances, x0, k, spec, rng):
+            res = estimate(algo, instances, x0, k, spec, rng)
+            rejected.append(not (res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u))
+            return res
+
+        monkeypatch.setattr(sampler, "estimate_sublevel_probability", check)
+        algo = _FlakyBandAlgo(0.5)
+        cfg = SgldConfig(step0=1.0, n_samples=4, thinning=2, run_length=10, segment_len=2,
+                         target_len=3)
+        rng = np.random.default_rng(seed)
+        out = constrained_sample(algo, [None, None], [None], np.array([1.0]),
+                                 SublevelSpec(p_l=0.95, p_u=1.0), cfg, rng)
+        assert [float.hex(float(p[0])) for p in out.points] == points
+        assert int(rng.integers(2**62)) == draw
+        assert any(rejected) and algo.taped >= 5
