@@ -2,8 +2,9 @@
 
 Each subcommand runs the pipeline up to one stage; stage artifacts are
 persisted in the output directory, so later commands reuse earlier results.
-Exit codes: 0 success, 2 no feasible hyperparameter region, 3 stage failure,
-including an output directory written by another config.
+Exit codes: 0 success, 2 no feasible hyperparameter region, 3 an invalid
+config or a stage failure, including an output directory written by another
+config.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ EXIT_STAGE = 3
 
 
 def _load_config(config, seed):
-    cfg = ExperimentConfig.from_json(config) if config else ExperimentConfig()
+    try:
+        cfg = ExperimentConfig.from_json(config) if config else ExperimentConfig()
+    except (TypeError, ValueError) as exc:
+        click.echo(f"invalid config: {exc}", err=True)
+        sys.exit(EXIT_STAGE)
     if seed is not None:
         cfg.seed = seed
     return cfg

@@ -204,8 +204,7 @@ def build_stats(
                 losses = rollout(algo, val_data, x0, k)
             res = estimate_from_rollout(losses, spec, rng)
             p_hats[j] = res.point_estimate
-            inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
-            if not inside:
+            if not spec.admits(res):
                 t1[j] = 0.0
                 t2[j] = 0.0
                 phi[j] = -np.inf

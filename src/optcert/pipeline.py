@@ -100,6 +100,11 @@ class ExperimentConfig:
         self.L_range = tuple(self.L_range)
         self.reg_range = tuple(self.reg_range)
         self.sizes = tuple(self.sizes)
+        # build every section once, so that an unknown key or a bad value is
+        # refused before a stage runs
+        for section in (self.sublevel_spec, self.stage_config, self.locate_config,
+                        self.sgld_config, self.pac_config):
+            section()
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":

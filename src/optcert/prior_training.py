@@ -14,7 +14,6 @@ Bernoulli(s/n) restart so the expected length is n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,7 +71,7 @@ class InitResult:
 
 @dataclass
 class StageConfig:
-    """Shared knobs of the two training stages."""
+    """Knobs of the imitation initialization (stage 1)."""
 
     segment_len: int = 1
     target_len: int = 50
@@ -98,90 +97,115 @@ def _diverged(loss: float, base_loss: float, factor: float) -> bool:
     return not np.isfinite(loss) or loss > factor * (base_loss + 1.0)
 
 
-def _new_trajectory(algo, prior_data, x0, rng):
-    """A fresh trajectory: the state at ``x0``, a random prior instance, and the loss there."""
-    inst = prior_data[rng.integers(len(prior_data))]
-    return algo.init_state(x0), inst, algo.loss(x0, inst)
+class _Trajectory:
+    """The training trajectory of one loop: its state on a random prior instance.
+
+    ``loss`` is the loss at ``state``, carried from the step that reached it;
+    ``base_loss`` is the loss at ``x0``, the divergence guard's reference.
+    ``cfg`` gives the segment length s and the target length n of the
+    Bernoulli(s/n) restart.
+    """
+
+    def __init__(self, algo, prior_data, x0, cfg, rng: np.random.Generator):
+        self.algo = algo
+        self.prior_data = prior_data
+        self.x0 = x0
+        self.sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
+        self.rng = rng
+        self.restart()
+
+    def restart(self) -> None:
+        """A fresh trajectory: a random prior instance, the state at ``x0``, and the loss there."""
+        self.inst = self.prior_data[self.rng.integers(len(self.prior_data))]
+        self.state = self.algo.init_state(self.x0)
+        self.base_loss = self.algo.loss(self.x0, self.inst)
+        self.loss = self.base_loss
+
+    def advance(self, state, loss: float) -> None:
+        """After a segment: restart with probability s/n, else carry ``state`` and its ``loss`` on."""
+        carried, restarted = self.sched.next(state, self.rng)
+        if restarted:
+            self.restart()
+        else:
+            self.state, self.loss = carried, loss
 
 
-def _segment_updates(algo, state, inst, loss: float, s: int):
-    """Run s learned steps from ``state``, whose loss is ``loss``.
+def _segment_updates(traj: _Trajectory, s: int):
+    """Run s learned steps of ``traj.algo`` from the trajectory's state.
 
-    Returns the final state, the summed ratio, the summed hypergradient and
-    the loss at the final state.  Iterates are treated independently: each
-    one-step gradient ignores the dependence of earlier iterates on the
+    Returns the final state, the summed hypergradient and the loss at the
+    final state.  Iterates are treated independently: each one-step
+    gradient ignores the dependence of earlier iterates on the
     hyperparameters.
     """
+    state = traj.state
+    loss = traj.loss
     grad = None
-    total = 0.0
     for _ in range(s):
-        state, ratio, g, loss = ratio_step(algo, state, inst, loss)
+        state, ratio, g, loss = ratio_step(traj.algo, state, traj.inst, loss)
         if ratio is not None:
-            total += ratio
             grad = g if grad is None else grad + g
     if grad is None:
-        grad = np.zeros(algo.num_params)
-    return state, total, grad, loss
+        grad = np.zeros(traj.algo.num_params)
+    return state, grad, loss
 
 
 def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) -> InitResult:
     """Imitation training until the running-mean loss is below ``eps_init``.
 
+    The mean runs over blocks of ``n_init`` iterations; a last block cut
+    short by ``max_iterations`` is averaged over the iterations it holds.
     Returns the best hyperparameters seen if the iteration cap is reached.
     """
     x0 = np.asarray(x0, dtype=float)
-    sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
-    state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
+    traj = _Trajectory(algo, prior_data, x0, cfg, rng)
     best_alpha = algo.get_flat()
     best_mean = np.inf
-    iterations = 0
-    while iterations < cfg.max_iterations:
-        running = 0.0
-        for _ in range(cfg.n_init):
-            iterations += 1
-            start = state.x_curr
-            # one taped pass gives the imitation loss, the mean squared distance
-            # between the s iterates of the learned and the reference rule, and
-            # its gradient 2/s * sum_k (x_k - y_k)^T dx_k/dalpha, iterates independent
-            st_a = algo.init_state(start)
-            st_r = reference.init_state(start)
-            grad = np.zeros(algo.num_params)
-            total = 0.0
-            for _ in range(cfg.segment_len):
-                next_a, tape = algo.step_with_tape(st_a, inst)
-                st_r = reference.step(st_r, inst)
-                diff = next_a.x_curr - st_r.x_curr
-                total += float(diff @ diff)
-                grad += algo.step_backward(tape, 2.0 * diff / cfg.segment_len)
-                st_a = next_a
-            running += total / cfg.segment_len
-            if np.all(np.isfinite(grad)):
-                new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
-                algo.set_flat(new_flat)
-            if adam.step_count and adam.step_count % cfg.decay_every == 0:
+    running = 0.0
+    held = 0  # iterations in the current block
+    for iteration in range(1, cfg.max_iterations + 1):
+        start = traj.state.x_curr
+        inst = traj.inst
+        # one taped pass gives the imitation loss, the mean squared distance
+        # between the s iterates of the learned and the reference rule, and
+        # its gradient 2/s * sum_k (x_k - y_k)^T dx_k/dalpha, iterates independent
+        st_a = algo.init_state(start)
+        st_r = reference.init_state(start)
+        grad = np.zeros(algo.num_params)
+        total = 0.0
+        for _ in range(cfg.segment_len):
+            next_a, tape = algo.step_with_tape(st_a, inst)
+            st_r = reference.step(st_r, inst)
+            diff = next_a.x_curr - st_r.x_curr
+            total += float(diff @ diff)
+            grad += algo.step_backward(tape, 2.0 * diff / cfg.segment_len)
+            st_a = next_a
+        running += total / cfg.segment_len
+        held += 1
+        if np.all(np.isfinite(grad)):
+            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
+            algo.set_flat(new_flat)
+            if adam.step_count % cfg.decay_every == 0:
                 adam.lr *= 0.5
-            state = algo.init_state(start)
-            for _ in range(cfg.segment_len):
-                state = algo.step(state, inst)
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = algo.loss(state.x_curr, inst)
-            if _diverged(loss, base_loss, cfg.guard_factor):
-                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-                continue
-            carried, restarted = sched.next(state, rng)
-            if restarted:
-                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-            else:
-                state = carried
-            if iterations >= cfg.max_iterations:
-                break
-        mean = running / cfg.n_init
-        if mean < best_mean:
-            best_mean = mean
-            best_alpha = algo.get_flat()
-        if mean < cfg.eps_init:
-            return InitResult(alpha=algo.get_flat(), converged=True)
+        state = algo.init_state(start)
+        for _ in range(cfg.segment_len):
+            state = algo.step(state, inst)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = algo.loss(state.x_curr, inst)
+        if _diverged(loss, traj.base_loss, cfg.guard_factor):
+            traj.restart()
+        else:
+            traj.advance(state, loss)
+        if held == cfg.n_init or iteration == cfg.max_iterations:
+            mean = running / held
+            if mean < best_mean:
+                best_mean = mean
+                best_alpha = algo.get_flat()
+            if mean < cfg.eps_init:
+                return InitResult(alpha=algo.get_flat(), converged=True)
+            running = 0.0
+            held = 0
     algo.set_flat(best_alpha)
     return InitResult(alpha=best_alpha, converged=False)
 
@@ -198,7 +222,6 @@ class LocateConfig:
     clip_norm: float = 1.0
     guard_factor: float = 1e6
     score_instances: int = 20  # validation instances used to rank feasible points
-    log_path: str | None = None  # optional CSV progress log (step, ratio_loss, accepted)
 
 
 def _median_loss(losses: np.ndarray) -> float:
@@ -227,34 +250,24 @@ def locate_prior(
     constraint check's rollout when that ran at least ``target_len`` steps.
     """
     x0 = np.asarray(x0, dtype=float)
-    sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
-    # ``loss`` is the loss at ``state``, carried from the step that reached it
-    state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-    loss = base_loss
+    traj = _Trajectory(algo, prior_data, x0, cfg, rng)
     found = False
     checkpoint = algo.get_flat()
     best_score = np.inf
     estimate = None
-    log_rows = []
     for i in range(1, cfg.n_max + 1):
-        final_state, ratio_total, grad, final_loss = _segment_updates(
-            algo, state, inst, loss, cfg.segment_len
-        )
-        if np.all(np.isfinite(grad)) and not _diverged(final_loss, base_loss, cfg.guard_factor):
-            proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
-            algo.set_flat(proposal)
-        else:
+        final_state, grad, final_loss = _segment_updates(traj, cfg.segment_len)
+        if not np.all(np.isfinite(grad)) or _diverged(final_loss, traj.base_loss, cfg.guard_factor):
             # diverged segment: restart the trajectory, keep the parameters
-            state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-            loss = base_loss
+            traj.restart()
             continue
+        proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
+        algo.set_flat(proposal)
+        rolled_back = False
         if i % cfg.check_every == 0:
             res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
-            inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
-            if cfg.log_path is not None:
-                log_rows.append((i, ratio_total, int(inside)))
-            if inside:
+            if spec.admits(res):
                 found = True
                 if res.losses.shape[1] > cfg.target_len:
                     score = _median_loss(res.losses[: cfg.score_instances, cfg.target_len])
@@ -269,24 +282,13 @@ def locate_prior(
             elif found:
                 # reject: restore the feasible hyperparameters, reset iterates
                 algo.set_flat(checkpoint)
-                state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-                loss = base_loss
-                if i % cfg.decay_every == 0:
-                    adam.lr *= 0.5
-                continue
-        carried, restarted = sched.next(final_state, rng)
-        if restarted:
-            state, inst, base_loss = _new_trajectory(algo, prior_data, x0, rng)
-            loss = base_loss
+                rolled_back = True
+        if rolled_back:
+            traj.restart()
         else:
-            state, loss = carried, final_loss
+            traj.advance(final_state, final_loss)
         if i % cfg.decay_every == 0:
             adam.lr *= 0.5
-    if cfg.log_path is not None:
-        with open(cfg.log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "ratio_loss", "accepted"])
-            writer.writerows(log_rows)
     if found:
         algo.set_flat(checkpoint)
         return PriorLocation(alpha=checkpoint, constraint_found=True, estimate=estimate)

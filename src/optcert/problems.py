@@ -65,9 +65,6 @@ class QuadraticInstance:
     def dim(self) -> int:
         return self.diag.shape[0]
 
-    def solution(self) -> np.ndarray:
-        return self.rhs / self.diag
-
 
 @dataclass(frozen=True)
 class LassoInstance:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import ratio_step
-from .prior_training import TrajectoryScheduler
+from .prior_training import _segment_updates, _Trajectory
 from .sublevel import SublevelSpec, estimate_sublevel_probability
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
 @dataclass
 class SgldConfig:
     step0: float = 1e-6
-    decay: float = 1.0  # multiplicative step decay per proposal
     n_samples: int = 20
     thinning: int = 10
     segment_len: int = 1
@@ -99,33 +97,23 @@ def constrained_sample(
     validation rollout of its estimate in ``SampleSet.val_losses``.
     """
     x0 = np.asarray(x0, dtype=float)
-    sched = TrajectoryScheduler(cfg.segment_len, cfg.target_len)
     first = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
     points = [algo.get_flat()]
     estimates = [first.point_estimate]
     val_losses = [first.losses]
     current = algo.get_flat()
-    inst = prior_data[rng.integers(len(prior_data))]
-    state = algo.init_state(x0)
-    step = cfg.step0
+    traj = _Trajectory(algo, prior_data, x0, cfg, rng)
     accepted_since_collect = 0
     rejected_streak = 0
     while len(points) < cfg.n_samples:
-        grad = np.zeros(algo.num_params)
-        for _ in range(cfg.segment_len):
-            state, _, g, _ = ratio_step(algo, state, inst)
-            if g is not None:
-                grad += g
+        state, grad, loss = _segment_updates(traj, cfg.segment_len)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(state.x_curr))):
-            state = algo.init_state(x0)
-            inst = prior_data[rng.integers(len(prior_data))]
+            traj.restart()
             continue
-        proposal = sgld_step(current, grad, step, rng)
-        step *= cfg.decay
+        proposal = sgld_step(current, grad, cfg.step0, rng)
         algo.set_flat(proposal)
         res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
-        inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
-        if inside:
+        if spec.admits(res):
             current = proposal
             rejected_streak = 0
             accepted_since_collect += 1
@@ -141,11 +129,6 @@ def constrained_sample(
                 raise NoFeasiblePointError(
                     f"no accepted proposal in {cfg.patience} attempts"
                 )
-        carried, restarted = sched.next(state, rng)
-        if restarted:
-            state = algo.init_state(x0)
-            inst = prior_data[rng.integers(len(prior_data))]
-        else:
-            state = carried
+        traj.advance(state, loss)
     algo.set_flat(current)
     return SampleSet(points=points, estimates=estimates, val_losses=val_losses)

@@ -68,6 +68,10 @@ class SublevelSpec:
         if self.g_scale <= 0 or self.g_exponent < 0:
             raise ValueError("need g_scale > 0 and g_exponent >= 0")
 
+    def admits(self, res: EstimateResult) -> bool:
+        """Whether an estimate is conclusive and its point estimate lies in [p_l, p_u]."""
+        return res.conclusive and self.p_l <= res.point_estimate <= self.p_u
+
 
 @dataclass
 class BetaPosterior:

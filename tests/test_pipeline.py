@@ -39,6 +39,16 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# config sections with a misspelt key, a value out of range, or a knob that
+# no longer exists; each is refused before anything runs
+BAD_SECTIONS = [
+    ("sgld", {"n_sample": 3, "thinning": 1, "run_length": 10, "target_len": 10}),
+    ("sublevel", {"p_l": 2.0}),
+    ("locate", {"n_max": 600, "log_path": "locate.csv"}),
+    ("sgld", {"n_samples": 3, "decay": 0.5}),
+]
+
+
 class TestExperimentConfig:
     def test_from_json_path(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -53,6 +63,11 @@ class TestExperimentConfig:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             ExperimentConfig(problem="cubic")
+
+    @pytest.mark.parametrize("section, value", BAD_SECTIONS)
+    def test_bad_section_is_refused_at_construction(self, section, value):
+        with pytest.raises((TypeError, ValueError)):
+            tiny_config(**{section: value})
 
     def test_hash_stability(self):
         a, b = tiny_config(), tiny_config()
@@ -370,6 +385,16 @@ class TestCli:
         a = (tmp_path / "a" / "data.json").read_text()
         b = (tmp_path / "b" / "data.json").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("section, value", BAD_SECTIONS)
+    def test_invalid_config_exits_three_and_writes_nothing(self, tmp_path, section, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**asdict(tiny_config()), section: value}))
+        res = CliRunner().invoke(main, ["init", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 3, res.output
+        assert "invalid config" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_band_exits_two(self, tmp_path):
         # a band requiring p_hat <= 0.3 cannot be reached by the trained rule

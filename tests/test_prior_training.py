@@ -131,6 +131,41 @@ class TestFindInitialization:
         after = np.mean([imitation_loss(algo, ref, inst, x0, 1) for inst in insts])
         assert after < before
 
+    @pytest.mark.parametrize("cap", [100, 101, 200])
+    def test_partial_last_block_is_averaged_over_its_iterations(self, cap):
+        # a cap of 101 ends on a one-iteration block whose loss, ~0.044, is
+        # above eps_init; averaged over n_init = 100 it would read converged
+        insts = gen_quadratics(10, 4, (1, 2), (5, 9), 0)
+        algo = QuadLearnedAlgo(LearnedQuadArch.init(np.random.default_rng(1)))
+        cfg = StageConfig(n_init=100, eps_init=0.01, max_iterations=cap)
+        res = find_initialization(algo, HbfAlgo(hbf_params(1, 9)), insts, np.zeros(4), cfg,
+                                  np.random.default_rng(2))
+        assert not res.converged
+
+    def test_diverging_last_iteration_stops_at_the_cap(self):
+        # guard_factor 0 trips the divergence guard on every iteration
+        algo = _RecordingAlgo(0.8)
+        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=3, guard_factor=0.0)
+        find_initialization(algo, _ScriptedAlgo(0.3), [None], np.array([1.0]), cfg,
+                            np.random.default_rng(0))
+        assert len(algo.starts) == 3
+
+    def test_lr_halves_once_per_decay_every_adam_steps(self, monkeypatch):
+        # every second hypergradient is NaN and skips Adam, so the six Adam
+        # steps of twelve iterations see the lr halved after steps 2 and 4
+        lrs = []
+        adam_step = prior_training.adam_step
+
+        def recorded(adam, *args):
+            lrs.append(adam.lr)
+            return adam_step(adam, *args)
+
+        monkeypatch.setattr(prior_training, "adam_step", recorded)
+        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=12, decay_every=2, lr=0.1)
+        find_initialization(_EverySecondNanAlgo(0.8), _ScriptedAlgo(0.3), [None],
+                            np.array([1.0]), cfg, np.random.default_rng(0))
+        assert lrs == [0.1 * 0.5 ** (k // 2) for k in range(6)]
+
 
 class _ScriptedAlgo:
     """Toy 1-parameter rule x <- (1 - alpha) x used to test the locate loop.
@@ -183,6 +218,20 @@ class _RecordingAlgo(_ScriptedAlgo):
     def step_with_tape(self, state, inst):
         self.starts.append(float(state.x_curr[0]))
         return super().step_with_tape(state, inst)
+
+
+class _EverySecondNanAlgo(_ScriptedAlgo):
+    """The toy rule with a NaN hypergradient on every second taped step."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.taped = 0
+
+    def step_backward(self, tape, out_grad):
+        self.taped += 1
+        if self.taped % 2 == 0:
+            return np.array([np.nan])
+        return super().step_backward(tape, out_grad)
 
 
 def _guard_run(algo, x0, guard_factor, n_max):
@@ -251,21 +300,6 @@ class TestLocatePrior:
         res = locate_prior(algo, [None], [None], np.array([1.0]), spec, cfg,
                            np.random.default_rng(2))
         assert not res.constraint_found
-
-    def test_progress_log_written(self, tmp_path):
-        algo = _ScriptedAlgo(0.2)
-        spec = SublevelSpec(p_l=0.0, p_u=1.0, width_tol=0.99)
-        log = tmp_path / "locate.csv"
-        cfg = LocateConfig(n_max=200, check_every=50, run_length=5, lr=0.01,
-                           target_len=5, score_instances=1, log_path=str(log))
-        locate_prior(algo, [None], [None], np.array([1.0]), spec, cfg,
-                     np.random.default_rng(3))
-        import csv
-
-        with open(log) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "ratio_loss", "accepted"]
-        assert len(rows) == 1 + 200 // 50
 
     def test_learned_quadratic_end_to_end(self):
         # small real run: the located point satisfies the constraint band

@@ -12,6 +12,7 @@ from optcert.algorithms import AlgoState, HbfAlgo, hbf_params, rollout
 from optcert.problems import QuadraticInstance
 from optcert.sublevel import (
     BetaPosterior,
+    EstimateResult,
     SublevelSpec,
     beta_ppf,
     beta_quantile,
@@ -36,6 +37,28 @@ class TestSpecValidation:
         s = SublevelSpec()
         assert (s.p_l, s.p_u, s.q_l, s.q_u) == (0.95, 1.0, 0.01, 0.99)
         assert s.width_tol == 0.075 and s.max_draws == 10000
+
+
+class TestAdmits:
+    """A result is feasible when it is conclusive and its estimate lies in the closed band."""
+
+    spec = SublevelSpec(p_l=0.9, p_u=0.95)
+
+    @staticmethod
+    def result(point, conclusive=True):
+        return EstimateResult(point_estimate=point, posterior=BetaPosterior(),
+                              draws_used=58, conclusive=conclusive)
+
+    @pytest.mark.parametrize("point", [0.9, 0.925, 0.95])
+    def test_inside_and_on_either_edge(self, point):
+        assert self.spec.admits(self.result(point))
+
+    @pytest.mark.parametrize("point", [np.nextafter(0.9, 0.0), np.nextafter(0.95, 1.0), 0.0, 1.0])
+    def test_outside(self, point):
+        assert not self.spec.admits(self.result(point))
+
+    def test_inconclusive_inside_the_band(self):
+        assert not self.spec.admits(self.result(0.925, conclusive=False))
 
 
 class TestThreshold:
