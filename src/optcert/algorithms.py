@@ -13,7 +13,8 @@ one instance, or (B, n) iterates with B instances stacked by
 ``QuadraticBatch``/``LassoBatch``, and the single-instance step is the
 B = 1 case with the same bits.  ``rollout`` runs k steps over a list of
 instances and returns the (B, k+1) loss matrix that the estimators, risks,
-scores and reports reduce over.
+scores and reports reduce over; a learned rule's rollout runs inside
+``frozen_weights`` of its nets and reuses one set of step buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import DenseNet, FlatParams, pack_params
+from .nets import DenseNet, FlatParams, frozen_weights, pack_params
 from .problems import (
     LassoBatch,
     LassoClassContext,
@@ -121,16 +122,21 @@ def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np
     return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0), out=out)
 
 
-def _step_tape(arch, tape_type, rows: int, n: int):
-    """The architecture's one step tape for (rows, n) iterates, reallocated only when that shape changes.
+def _step_buffers(arch, tape_type, rows: int, n: int, taped: bool):
+    """The architecture's step buffers for (rows, n) iterates, reallocated only when that shape changes.
 
-    Every taped step refills it, so a tape is valid until the next taped
-    step on ``arch``; untaped steps use throwaway buffers and never touch it.
+    Taped steps refill ``arch.tape``, so a tape is valid until the next taped
+    step on ``arch``; untaped steps reuse ``arch.work`` and never touch the
+    tape.
     """
-    tape = arch.tape
-    if tape is None or tape.shape != (rows, n):
-        tape = arch.tape = tape_type(arch, rows, n, taped=True)
-    return tape
+    buffers = arch.tape if taped else arch.work
+    if buffers is None or buffers.shape != (rows, n):
+        buffers = tape_type(arch, rows, n, taped)
+        if taped:
+            arch.tape = buffers
+        else:
+            arch.work = buffers
+    return buffers
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +153,21 @@ _QUAD_MASK = [True, False, True, False, True, False]
 class LearnedQuadArch(FlatParams):
     """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order.
 
-    ``tape`` is the step tape that every taped step refills.
+    ``tape`` is the step tape that every taped step refills, ``work`` the
+    buffers that every untaped step reuses.
     """
 
     direction_net: DenseNet
     step_net: DenseNet
     tape: object = field(default=None, init=False, repr=False)
+    work: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.params, self.grads = pack_params([self.direction_net, self.step_net])
+        self.params, self.grads = pack_params(self.nets)
+
+    @property
+    def nets(self) -> list:
+        return [self.direction_net, self.step_net]
 
     @classmethod
     def init(cls, rng: np.random.Generator) -> "LearnedQuadArch":
@@ -194,7 +206,7 @@ def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool 
     n = state.x_curr.shape[-1]
     x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
     rows = len(x)
-    t = _step_tape(arch, _QuadStepTape, rows, n) if tape else _QuadStepTape(arch, rows, n, taped=False)
+    t = _step_buffers(arch, _QuadStepTape, rows, n, tape)
     channels = t.channels
     _preprocess_into(grad_quadratic(x, inst), channels[0], t.norms[:, 0])
     _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
@@ -230,11 +242,11 @@ _LASSO_MASK = [True, True, True, False]
 
 
 def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """The logistic function into ``out``: 1 / (1 + e^-a) for a >= 0, e^a / (1 + e^a) below."""
+    # min(a, -a) is -|a| but keeps a NaN's sign and payload, as the two
+    # branches did when they were computed on masked subsets
+    e = np.exp(np.minimum(a, -a))
+    return np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class LearnedLassoArch(FlatParams):
@@ -242,16 +254,17 @@ class LearnedLassoArch(FlatParams):
 
     ``params`` holds the three nets' weights in that order, then
     ``prox_tau`` as its last entry; ``grads`` has the same layout.
-    ``tape`` is the step tape that every taped step refills.
+    ``tape`` is the step tape that every taped step refills, ``work`` the
+    buffers that every untaped step reuses.
     """
 
     def __init__(self, direction_net: DenseNet, step_net: DenseNet, sparsity_net: DenseNet, prox_tau: float):
         self.direction_net = direction_net
         self.step_net = step_net
         self.sparsity_net = sparsity_net
-        self.params, self.grads = pack_params([direction_net, step_net, sparsity_net], extra=1)
+        self.params, self.grads = pack_params(self.nets, extra=1)
         self.prox_tau = prox_tau
-        self.tape = None
+        self.tape = self.work = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, prox_tau: float) -> "LearnedLassoArch":
@@ -261,6 +274,10 @@ class LearnedLassoArch(FlatParams):
             sparsity_net=DenseNet.init(_LASSO_SPARSE_DIMS, _LASSO_MASK, rng),
             prox_tau=prox_tau,
         )
+
+    @property
+    def nets(self) -> list:
+        return [self.direction_net, self.step_net, self.sparsity_net]
 
     @property
     def prox_tau(self) -> float:
@@ -310,7 +327,7 @@ def lasso_step_forward(
     n = state.x_curr.shape[-1]
     x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
     rows = len(x)
-    t = _step_tape(arch, _LassoStepTape, rows, n) if tape else _LassoStepTape(arch, rows, n, taped=False)
+    t = _step_buffers(arch, _LassoStepTape, rows, n, tape)
     t.reg = reg = reg_column(inst)
     channels, sp_in = t.channels, t.sp_in
     _preprocess_into(subgrad_lasso(x, inst, ctx), channels[0], t.norms[:, 0])
@@ -343,24 +360,25 @@ def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: 
     """
     y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
     thresh, reg = tape.thresh.item(), tape.reg.item()
-    ny = float(np.linalg.norm(y))
-    nxt = float(np.linalg.norm(x_tilde))
-    g_xt = np.zeros_like(x_tilde)
+    ny = math.sqrt(y @ y)
+    nxt = math.sqrt(x_tilde @ x_tilde)
+    g_norm = None  # the gradient through the rescaling's numerator ||x_tilde||
     if ny > 0:
         u = y / ny
-        g_y = (nxt / ny) * (out_grad - u * float(u @ out_grad))
+        uo = float(u @ out_grad)
+        g_y = (nxt / ny) * (out_grad - u * uo)
         if nxt > 0:
-            g_xt += float(u @ out_grad) * (x_tilde / nxt)
+            g_norm = uo * (x_tilde / nxt)
     else:
         g_y = np.asarray(out_grad, dtype=float)
     active = np.abs(gated) > thresh
     g_gated = g_y * active
     g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
     g_z = g_gated * x_tilde
-    g_xt += g_gated * z
     g_a = g_z * z * (1.0 - z)
     g_sp_in, _ = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
-    g_xt += g_sp_in[:, 0]
+    g_xt = g_gated * z if g_norm is None else g_norm + g_gated * z
+    g_xt = g_xt + g_sp_in[:, 0]
     g_s = float(tape.direction[0] @ g_xt)
     g_d = tape.step_size[0] * g_xt
     arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
@@ -502,7 +520,16 @@ class _Lasso(_RowBatched):
 
 
 class _Learned:
-    """The flat-parameter interface of a learned rule, read from and written to ``self.arch``."""
+    """The flat-parameter interface of a learned rule, read from and written to ``self.arch``.
+
+    Its rollout runs with the nets' weights frozen into contiguous copies,
+    which the parameters cannot outlive: they do not change during a
+    rollout, and the copies are dropped when it ends.
+    """
+
+    def rollout(self, instances, x0, k: int, step_seconds=None) -> np.ndarray:
+        with frozen_weights(self.arch.nets):
+            return super().rollout(instances, x0, k, step_seconds)
 
     @property
     def num_params(self) -> int:

@@ -6,7 +6,9 @@ Adam optimizer written in plain NumPy.
 
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
-just a batch over coordinates.
+just a batch over coordinates.  Inside a ``frozen_weights`` block, untaped
+passes over two or more rows multiply by C-contiguous copies of the ``W.T``
+instead and write the hidden layers into two reused buffers.
 
 A model's parameters live in one contiguous vector, ``params``, and each
 weight matrix is a reshaped view into it; the gradients of the last
@@ -18,6 +20,7 @@ model never aliases a caller's array.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +31,7 @@ __all__ = [
     "GradTape",
     "AdamState",
     "pack_params",
+    "frozen_weights",
     "adam_step",
 ]
 
@@ -72,7 +76,11 @@ class DenseNet(FlatParams):
     """Bias-free fully-connected net; ``activation_mask[i]`` rectifies layer i's output.
 
     ``weights[i]`` is an (out, in) view into ``params``, and
-    ``weight_grads[i]`` the view of its gradient in ``grads``.
+    ``weight_grads[i]`` the view of its gradient in ``grads``.  Inside a
+    ``frozen_weights`` block ``weights_t[i]`` is a C-contiguous copy of
+    ``weights[i].T``, else None.  ``work`` is (rows, outputs): the layer
+    outputs of the untaped passes over those copies, sized for the last row
+    count, with None for the output layer.
     """
 
     weights: list
@@ -80,6 +88,8 @@ class DenseNet(FlatParams):
     params: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
     weight_grads: list = field(init=False, repr=False)
+    weights_t: list | None = field(default=None, init=False, repr=False)
+    work: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.activation_mask):
@@ -130,9 +140,9 @@ class DenseNet(FlatParams):
         """Forward pass; accepts a vector or a (batch, in_dim) matrix.
 
         Without a tape no layer inputs are kept and the rectifiers work in
-        place.  With one (from ``new_tape`` for this many rows) every layer
-        writes into its buffers, and the output returned is a view of the
-        tape, valid until its next pass.
+        place; the output is a fresh array.  With one (from ``new_tape`` for
+        this many rows) every layer writes into its buffers, and the output
+        returned is a view of the tape, valid until its next pass.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -140,6 +150,10 @@ class DenseNet(FlatParams):
         if H.shape[1] != self.in_dim:
             raise ValueError(f"input dim {H.shape[1]} != net in-dim {self.in_dim}")
         if tape is None:
+            # one row keeps W.T: numpy takes the gemv path there, where a
+            # contiguous operand changes the bits
+            if self.weights_t is not None and len(H) > 1:
+                return self._forward_frozen(H)
             for W, act in zip(self.weights, self.activation_mask):
                 H = H @ W.T
                 if act:
@@ -154,6 +168,21 @@ class DenseNet(FlatParams):
                     np.maximum(Z, 0.0, out=H_next)
                 H = H_next
         return H[0] if squeeze else H
+
+    def _forward_frozen(self, H: np.ndarray) -> np.ndarray:
+        """Untaped pass of the (rows, in_dim) ``H`` over ``weights_t``; the output is a fresh array."""
+        rows = len(H)
+        if self.work is None or self.work[0] != rows:
+            # the hidden layers alternate between two flat buffers, rows x widest layer each
+            width = max((W.shape[0] for W in self.weights[:-1]), default=0)
+            pair = np.empty((2, rows * width))
+            outs = [pair[i % 2, : rows * W.shape[0]].reshape(rows, -1) for i, W in enumerate(self.weights[:-1])]
+            self.work = (rows, outs + [None])
+        for WT, act, out in zip(self.weights_t, self.activation_mask, self.work[1]):
+            H = np.matmul(H, WT, out=out)
+            if act:
+                np.maximum(H, 0.0, out=H)
+        return H
 
     def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
         """Exact reverse-mode pass over the last taped ``forward``; rectifier subgradient at 0 is 0.
@@ -180,6 +209,24 @@ class DenseNet(FlatParams):
         if not input_grad:
             return None, self.weight_grads
         return (G[0] if squeeze else G), self.weight_grads
+
+
+@contextmanager
+def frozen_weights(nets: list):
+    """Inside the block, the untaped passes of ``nets`` over two or more rows use contiguous weight copies.
+
+    Each net gets one C-contiguous copy of every ``W.T`` on entry and drops
+    it on exit, so the weights must not change inside the block.  The bits
+    are those of the ``H @ W.T`` chain; the hidden-layer buffers outlive the
+    block and are reallocated only when the row count changes.
+    """
+    for net in nets:
+        net.weights_t = [np.ascontiguousarray(W.T) for W in net.weights]
+    try:
+        yield
+    finally:
+        for net in nets:
+            net.weights_t = None
 
 
 def pack_params(nets: list, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +292,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[
     np.square(grads, out=s1)
     np.multiply(s1, 1 - state.beta2, out=s1)
     np.add(v, s1, out=v)
-    # params -= lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, 1 - state.beta1**t, out=s1)
-    np.multiply(s1, state.lr, out=s1)
+    # params -= lr * m_hat / (sqrt(v_hat) + eps); once the bias correction
+    # 1 - beta1**t rounds to 1.0 (t >= 350 at beta1 = 0.9), m_hat is m
+    correction = 1 - state.beta1**t
+    if correction == 1.0:
+        np.multiply(m, state.lr, out=s1)
+    else:
+        np.divide(m, correction, out=s1)
+        np.multiply(s1, state.lr, out=s1)
     np.divide(v, 1 - state.beta2**t, out=s2)
     np.sqrt(s2, out=s2)
     np.add(s2, state.eps_hat, out=s2)

@@ -216,13 +216,15 @@ class EvaluationReport:
 
     def percentiles(self, which: str = "learned") -> dict:
         losses = self.learned_losses if which == "learned" else self.baseline_losses
-        finite = np.where(np.isfinite(losses), losses, np.nan)
-        return {
-            "p10": np.nanpercentile(finite, 10, axis=0),
-            "p50": np.nanpercentile(finite, 50, axis=0),
-            "p90": np.nanpercentile(finite, 90, axis=0),
-            "mean": np.nanmean(finite, axis=0),
-        }
+        ok = np.isfinite(losses)
+        # nanpercentile over an axis runs one quantile per column; the plain
+        # percentile gives the same bytes on a finite matrix
+        if ok.all():
+            finite, percentile = losses, np.percentile
+        else:
+            finite, percentile = np.where(ok, losses, np.nan), np.nanpercentile
+        p10, p50, p90 = percentile(finite, (10, 50, 90), axis=0)
+        return {"p10": p10, "p50": p50, "p90": p90, "mean": np.nanmean(finite, axis=0)}
 
 
 def _run_losses(algo, instances, x0, k: int, repeats: int = 3):

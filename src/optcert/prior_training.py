@@ -69,6 +69,15 @@ class InitResult:
     converged: bool
 
 
+def _check_segment_len(section: str, segment_len: int, target_len: int) -> None:
+    """Refuse a segment length outside 1..``target_len``, naming the config ``section``."""
+    if not 1 <= segment_len <= target_len:
+        raise ValueError(
+            f"{section}: need 1 <= segment_len <= target_len, got segment_len={segment_len}"
+            f" and target_len={target_len}"
+        )
+
+
 @dataclass
 class StageConfig:
     """Knobs of the imitation initialization (stage 1)."""
@@ -83,10 +92,28 @@ class StageConfig:
     clip_norm: float = 1.0
     guard_factor: float = 1e6  # restart trajectory when loss grows this much
 
+    def __post_init__(self):
+        _check_segment_len("init", self.segment_len, self.target_len)
 
-def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scales ``grad`` in place to norm ``max_norm`` when it is longer (and ``max_norm`` > 0); returns it."""
-    norm = math.sqrt(grad @ grad)
+
+def _finite_sq_norm(grad: np.ndarray) -> float | None:
+    """``grad @ grad``, or None when ``grad`` has a non-finite entry.
+
+    A finite sum of squares means every entry is finite, so the entries are
+    scanned only when the sum is not (an overflow, or a non-finite entry).
+    """
+    sq = float(grad @ grad)
+    if math.isfinite(sq) or np.all(np.isfinite(grad)):
+        return sq
+    return None
+
+
+def _clip(grad: np.ndarray, max_norm: float, sq_norm: float) -> np.ndarray:
+    """Scales ``grad`` in place to norm ``max_norm`` when it is longer (and ``max_norm`` > 0); returns it.
+
+    ``sq_norm`` is ``grad @ grad``, from ``_finite_sq_norm``.
+    """
+    norm = math.sqrt(sq_norm)
     if max_norm > 0 and norm > max_norm:
         grad *= max_norm / norm
     return grad
@@ -183,8 +210,9 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
             st_a = next_a
         running += total / cfg.segment_len
         held += 1
-        if np.all(np.isfinite(grad)):
-            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
+        sq_norm = _finite_sq_norm(grad)
+        if sq_norm is not None:
+            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm, sq_norm))
             algo.set_flat(new_flat)
             if adam.step_count % cfg.decay_every == 0:
                 adam.lr *= 0.5
@@ -223,6 +251,9 @@ class LocateConfig:
     guard_factor: float = 1e6
     score_instances: int = 20  # validation instances used to rank feasible points
 
+    def __post_init__(self):
+        _check_segment_len("locate", self.segment_len, self.target_len)
+
 
 def _median_loss(losses: np.ndarray) -> float:
     """Median of a loss vector with non-finite entries read as inf."""
@@ -258,11 +289,12 @@ def locate_prior(
     estimate = None
     for i in range(1, cfg.n_max + 1):
         final_state, grad, final_loss = _segment_updates(traj, cfg.segment_len)
-        if not np.all(np.isfinite(grad)) or _diverged(final_loss, traj.base_loss, cfg.guard_factor):
+        sq_norm = _finite_sq_norm(grad)
+        if sq_norm is None or _diverged(final_loss, traj.base_loss, cfg.guard_factor):
             # diverged segment: restart the trajectory, keep the parameters
             traj.restart()
             continue
-        proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm))
+        proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm, sq_norm))
         algo.set_flat(proposal)
         rolled_back = False
         if i % cfg.check_every == 0:

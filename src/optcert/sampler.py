@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prior_training import _segment_updates, _Trajectory
+from .prior_training import _check_segment_len, _finite_sq_norm, _segment_updates, _Trajectory
 from .sublevel import SublevelSpec, estimate_sublevel_probability
 
 __all__ = [
@@ -35,6 +35,9 @@ class SgldConfig:
     target_len: int = 50
     run_length: int = 50
     patience: int = 200  # abort if no acceptance over this many proposals
+
+    def __post_init__(self):
+        _check_segment_len("sgld", self.segment_len, self.target_len)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def constrained_sample(
     rejected_streak = 0
     while len(points) < cfg.n_samples:
         state, grad, loss = _segment_updates(traj, cfg.segment_len)
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(state.x_curr))):
+        if _finite_sq_norm(grad) is None or not np.all(np.isfinite(state.x_curr)):
             traj.restart()
             continue
         proposal = sgld_step(current, grad, cfg.step0, rng)

@@ -18,6 +18,7 @@ from optcert.algorithms import (
     hbf_step,
     ista_step,
     _preprocess_into,
+    _sigmoid,
     preprocess,
     ratio_step,
     rollout,
@@ -183,6 +184,17 @@ class TestLearnedQuadStep:
 
 
 class TestLearnedLassoStep:
+    def test_sigmoid_has_the_bytes_of_the_two_branch_formula(self):
+        a = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan, -np.nan, 3.0, -3.0])
+        pos = a >= 0
+        want = np.empty_like(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+            e = np.exp(a[~pos])
+            want[~pos] = e / (1.0 + e)
+            got = _sigmoid(a, np.empty_like(a))
+        assert got.tobytes() == want.tobytes()
+
     def setup_method(self):
         self.ctx, self.insts = gen_lasso(3, 6, 4, (0.1, 0.5), 7)
 

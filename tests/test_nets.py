@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optcert.nets import AdamState, DenseNet, adam_step
+from optcert.nets import AdamState, DenseNet, adam_step, frozen_weights
 
 from gradcheck import finite_diff
 
@@ -36,6 +36,29 @@ class TestForward:
         for i in range(7):
             single = net.forward(batch[i])
             np.testing.assert_allclose(out[i], single)
+
+    @pytest.mark.parametrize("rows", [1, 40, 1000, 2000])
+    def test_frozen_pass_has_the_bits_of_the_transposed_chain(self, rows):
+        # the learned rules' direction (quadratic, LASSO) and step nets; the
+        # coordinate nets read channel-major, F-ordered inputs
+        rng = np.random.default_rng(rows)
+        shapes = [([3, 16, 16, 16, 16, 16, 1], [True, False] * 3), ([2, 8, 8, 8, 8, 8, 1], [True, False] * 3),
+                  ([4, 64, 64, 64, 1], [True, True, True, False])]
+        for dims, mask in shapes:
+            net = DenseNet.init(dims, mask, rng)
+            for x in (rng.normal(size=(rows, dims[0])), rng.normal(size=(dims[0], rows)).T):
+                want = x
+                for W, act in zip(net.weights, mask):
+                    want = want @ W.T
+                    if act:
+                        want = np.maximum(want, 0.0)
+                with frozen_weights([net]):
+                    first = net.forward(x)
+                    snapshot = first.copy()
+                    again = net.forward(x)
+                assert net.weights_t is None
+                assert first.tobytes() == want.tobytes() and again.tobytes() == want.tobytes()
+                assert first.tobytes() == snapshot.tobytes()  # the output is not a reused buffer
 
     def test_positive_homogeneity_in_active_region(self):
         rng = np.random.default_rng(3)
@@ -188,13 +211,15 @@ class TestAdam:
         # bias-corrected ratio is 1 at t=1, so the move is about -lr
         np.testing.assert_allclose(new, [-0.05, -0.05], rtol=1e-6)
 
-    def test_in_place_update_is_bit_identical_to_textbook(self):
+    # 400 steps pass t = 350, from where 1 - 0.9**t rounds to 1.0
+    @pytest.mark.parametrize("steps", [12, 400])
+    def test_in_place_update_is_bit_identical_to_textbook(self, steps):
         rng = np.random.default_rng(5)
         dim, lr = 257, 0.01
         st = AdamState.zeros(dim, lr=lr)
         params = rng.standard_normal(dim)
         ref, m, v = params.copy(), np.zeros(dim), np.zeros(dim)
-        for t in range(1, 13):
+        for t in range(1, steps + 1):
             g = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 3)
             m = 0.9 * m + (1 - 0.9) * g
             v = 0.999 * v + (1 - 0.999) * g**2
@@ -204,7 +229,7 @@ class TestAdam:
             assert params.tobytes() == ref.tobytes()
             assert st.first_moment.tobytes() == m.tobytes()
             assert st.second_moment.tobytes() == v.tobytes()
-            if t % 4 == 0:  # the lr decay of the training loops
+            if t % (steps // 3) == 0:  # the lr decay of the training loops
                 st.lr *= 0.5
                 lr *= 0.5
 

@@ -46,6 +46,9 @@ BAD_SECTIONS = [
     ("sublevel", {"p_l": 2.0}),
     ("locate", {"n_max": 600, "log_path": "locate.csv"}),
     ("sgld", {"n_samples": 3, "decay": 0.5}),
+    ("sgld", {"n_samples": 3, "thinning": 1, "run_length": 10, "segment_len": 5, "target_len": 2}),
+    ("init", {"segment_len": 0}),
+    ("locate", {"n_max": 600, "segment_len": 51}),
 ]
 
 
@@ -69,11 +72,37 @@ class TestExperimentConfig:
         with pytest.raises((TypeError, ValueError)):
             tiny_config(**{section: value})
 
+    @pytest.mark.parametrize("section", ["init", "locate", "sgld"])
+    def test_segment_len_message_names_the_section(self, section):
+        with pytest.raises(ValueError, match=rf"^{section}: need 1 <= segment_len <= target_len"):
+            tiny_config(**{section: {"segment_len": 11, "target_len": 10}})
+
     def test_hash_stability(self):
         a, b = tiny_config(), tiny_config()
         assert a.hash() == b.hash()
         assert a.hash() != tiny_config(seed=4).hash()
         assert len(a.hash()) == 16
+
+
+class TestEvaluationReport:
+    def _report(self, losses):
+        return pipeline.EvaluationReport(
+            learned_losses=losses, baseline_losses=losses, learned_cumtime=None,
+            baseline_cumtime=None, bound=0.0, sublevel_counts=(1, 1), sublevel_point=0.5,
+        )
+
+    def test_percentiles_of_a_finite_matrix_have_the_nan_aware_bytes(self):
+        losses = np.random.default_rng(0).lognormal(size=(50, 51))
+        got = self._report(losses).percentiles()
+        for key, q in (("p10", 10), ("p50", 50), ("p90", 90)):
+            assert got[key].tobytes() == np.nanpercentile(losses, q, axis=0).tobytes()
+
+    def test_non_finite_entries_are_excluded(self):
+        losses = np.random.default_rng(1).lognormal(size=(20, 6))
+        with_inf = np.vstack([losses, np.full(6, np.inf)])
+        got, want = self._report(with_inf).percentiles(), self._report(losses).percentiles()
+        for key in ("p10", "p50", "p90", "mean"):
+            assert got[key].tobytes() == want[key].tobytes()
 
 
 class TestRunStage:

@@ -164,3 +164,18 @@ def test_step_seconds_are_added_per_step():
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
         rollout(_learned_quad(1.0), QUADS[:1], np.zeros(20), -1)
+
+
+@pytest.mark.parametrize("name", ["quad_learned", "lasso_learned"])
+def test_rollout_after_set_flat_uses_the_new_weights(name):
+    # the contiguous weight copies of one rollout must not survive into the next
+    make, instances, n, k = CASES[name]
+    algo, x0 = make(1.0), np.zeros(n)
+    first = rollout(algo, instances, x0, k)
+    snapshot = first.copy()
+    algo.set_flat(make(0.5).get_flat())
+    second = rollout(algo, instances, x0, k)
+    assert second.tobytes() == rollout(make(0.5), instances, x0, k).tobytes()
+    assert second.tobytes() != first.tobytes()
+    assert first.tobytes() == snapshot.tobytes()
+    assert all(net.weights_t is None for net in algo.arch.nets)
