@@ -216,9 +216,10 @@ def frozen_weights(nets: list):
     """Inside the block, the untaped passes of ``nets`` over two or more rows use contiguous weight copies.
 
     Each net gets one C-contiguous copy of every ``W.T`` on entry and drops
-    it on exit, so the weights must not change inside the block.  The bits
-    are those of the ``H @ W.T`` chain; the hidden-layer buffers outlive the
-    block and are reallocated only when the row count changes.
+    it on exit, so the weights must not change inside the block.  At the
+    learned rules' shapes the bits are those of the ``H @ W.T`` chain (the
+    tests check 40 to 2000 rows); the hidden-layer buffers outlive the block
+    and are reallocated only when the row count changes.
     """
     for net in nets:
         net.weights_t = [np.ascontiguousarray(W.T) for W in net.weights]

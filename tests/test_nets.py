@@ -54,11 +54,10 @@ class TestForward:
                         want = np.maximum(want, 0.0)
                 with frozen_weights([net]):
                     first = net.forward(x)
-                    snapshot = first.copy()
-                    again = net.forward(x)
+                    net.forward(-x)  # the output is not a buffer that the next pass refills
+                    assert first.tobytes() == want.tobytes()
+                    assert net.forward(x).tobytes() == want.tobytes()
                 assert net.weights_t is None
-                assert first.tobytes() == want.tobytes() and again.tobytes() == want.tobytes()
-                assert first.tobytes() == snapshot.tobytes()  # the output is not a reused buffer
 
     def test_positive_homogeneity_in_active_region(self):
         rng = np.random.default_rng(3)
