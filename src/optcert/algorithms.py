@@ -103,7 +103,8 @@ def _preprocess_into(v: np.ndarray, units: np.ndarray, log_norms: np.ndarray) ->
     """``preprocess`` of each row of the (B, n) matrix ``v``, written into ``units`` and ``log_norms``.
 
     One row, as in every taped step, takes a scalar norm and no temporaries;
-    the bits are those of ``preprocess``.
+    more rows take only the (B, 1) norms.  The bits are those of
+    ``preprocess``.
     """
     if len(v) == 1:
         norm = math.sqrt(v[0] @ v[0])
@@ -113,7 +114,13 @@ def _preprocess_into(v: np.ndarray, units: np.ndarray, log_norms: np.ndarray) ->
             units[0] = 0.0
         log_norms[0] = np.log1p(norm)
     else:
-        units[...], log_norms[...] = preprocess(v)
+        norms = (v[:, None, :] @ v[:, :, None])[:, 0]
+        np.sqrt(norms, out=norms)
+        nonzero = norms != 0.0
+        np.divide(v, norms, out=units, where=nonzero)
+        if not nonzero.all():
+            units[~nonzero[:, 0]] = 0.0
+        np.log1p(norms[:, 0], out=log_norms)
 
 
 def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:

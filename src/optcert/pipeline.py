@@ -22,6 +22,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def _probe_arch(algo, instances, x0, rng, tries: int = 20):
         inst = instances[rng.integers(len(instances))]
         _, _, g, _ = ratio_step(algo, state, inst)
         if g is not None and np.any(g != 0.0) and np.all(np.isfinite(g)):
-            return algo
+            return
         algo.reinit(rng)
     raise StageError("could not draw a trainable initialization")
 
@@ -300,47 +301,52 @@ def emit_plot_data(report: EvaluationReport, out_dir: Path) -> None:
 
 
 def _stage_data(run):
-    """The data record: the LASSO context (None for quadratics) and every instance."""
+    """The data record: the LASSO context (None for quadratics) and every instance.
+
+    The generated context and instances are handed on to ``_load_data``.
+    """
     cfg = run.cfg
     total = sum(cfg.sizes)
     if cfg.problem == "quadratic":
-        instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
-        ctx = None
+        run.instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
+        run.ctx = None
     else:
-        ctx, instances = gen_lasso(
+        run.ctx, run.instances = gen_lasso(
             total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed
         )
     return {
-        "context": context_to_json(ctx) if ctx is not None else None,
-        "instances": [instance_to_json(i) for i in instances],
+        "context": context_to_json(run.ctx) if run.ctx is not None else None,
+        "instances": [instance_to_json(i) for i in run.instances],
     }
 
 
 def _load_data(run, record):
-    # instances and LASSO context both come from the artifact; JSON keeps
-    # every bit of a float, so they equal the generated data
-    ctx = record["context"]
-    run.ctx = context_from_json(ctx) if ctx is not None else None
-    instances = [instance_from_json(o) for o in record["instances"]]
-    run.splits = split_dataset(instances, run.cfg.sizes)
+    if run.instances is None:
+        # read back: JSON keeps every bit of a float, so the instances and the
+        # LASSO context equal the generated data
+        ctx = record["context"]
+        run.ctx = context_from_json(ctx) if ctx is not None else None
+        run.instances = [instance_from_json(o) for o in record["instances"]]
+    run.splits = split_dataset(run.instances, run.cfg.sizes)
 
 
 def _algos(run):
-    """The learned and baseline algorithms, built and probed from the init stage's stream on first use."""
+    """The learned and baseline algorithms, built from the init stage's stream on first use."""
     if run.learned is None:
         cfg, ctx, rng = run.cfg, run.ctx, run.rng
         if cfg.problem == "quadratic":
-            learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
+            run.learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
             run.baseline = HbfAlgo(hbf_params(cfg.m_range[0], cfg.L_range[1]))
         else:
-            learned = LassoLearnedAlgo(LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx)
+            run.learned = LassoLearnedAlgo(LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx)
             run.baseline = FistaAlgo(ctx)
-        run.learned = _probe_arch(learned, run.splits.prior, run.x0, rng)
     return run.learned, run.baseline
 
 
 def _stage_init(run):
     learned, baseline = _algos(run)
+    # only a computed init probes: a reused record overwrites every weight
+    _probe_arch(learned, run.splits.prior, run.x0, run.rng)
     res = find_initialization(
         learned, baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
     )
@@ -363,9 +369,12 @@ def _stage_locate(run):
     }
 
 
-def _load_locate(run, record):
+def _check_locate(record):
     if not record["found"]:
         raise ConstraintNotFoundError("prior location left the feasible band")
+
+
+def _load_locate(run, record):
     run.learned.set_flat(record["alpha"])
 
 
@@ -421,24 +430,39 @@ def _stage_report(run):
     }
 
 
-# (name, compute, load): ``compute(run)`` returns the stage's record, and
-# ``load(run, record)`` hands a computed or reused record on to later stages;
+class _Stage(NamedTuple):
+    """One pipeline stage.
+
+    ``compute(run)`` returns the stage's record; ``check(record)``, when
+    given, refuses a record that no later stage may use; ``load(run,
+    record)`` hands a record on to later stages.
+    """
+
+    name: str
+    compute: Callable
+    check: Callable | None
+    load: Callable
+
+
 # ``_stage_certify`` is looked up at call time, so that a test can replace it
 _STAGES = (
-    ("data", _stage_data, _load_data),
-    ("init", _stage_init, _load_init),
-    ("prior_location", _stage_locate, _load_locate),
-    ("samples", _stage_sample, _load_samples),
-    ("certificate", lambda run: _stage_certify(run), _load_certificate),
-    ("report", _stage_report, lambda run, record: None),
+    _Stage("data", _stage_data, None, _load_data),
+    _Stage("init", _stage_init, None, _load_init),
+    _Stage("prior_location", _stage_locate, _check_locate, _load_locate),
+    _Stage("samples", _stage_sample, None, _load_samples),
+    _Stage("certificate", lambda run: _stage_certify(run), None, _load_certificate),
+    _Stage("report", _stage_report, None, lambda run, record: None),
 )
-STAGE_ORDER = tuple(name for name, _, _ in _STAGES)
+STAGE_ORDER = tuple(stage.name for stage in _STAGES)
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
     """Run the stages in order, stopping after ``until`` when given.
 
-    Returns the record of the last completed stage.  Raises
+    Returns the record of the last completed stage.  A computed record is
+    loaded at once.  A reused one is read and checked at once, but loaded
+    only when a later stage has to compute, so a resume over a finished
+    directory builds no instances, algorithms or samples.  Raises
     ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.
@@ -447,22 +471,41 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
         raise ValueError(f"unknown stage: {until!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``
-    # and ``splits`` (data), ``learned`` and ``baseline`` (init), ``samples``,
-    # with validation matrices when sampled in this call, and ``bound``
-    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(),
-                          x0=np.zeros(cfg.dim), learned=None, samples=None)
+    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``,
+    # ``instances`` and ``splits`` (data), ``learned`` and ``baseline`` (init),
+    # ``samples``, with validation matrices when sampled in this call, and ``bound``
+    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(), x0=np.zeros(cfg.dim),
+                          instances=None, learned=None, samples=None)
     stamp = cfg.hash()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
+    # the stages before ``loaded`` are handed on to ``run``; ``pending`` holds
+    # the reused records of the stages from ``loaded`` on
+    loaded, pending = 0, []
+
+    def compute_stage(i):
+        nonlocal loaded
+        # first the reused records, each loaded on its own stage's stream
+        for j, record in enumerate(pending, start=loaded):
+            run.rng = np.random.default_rng(seeds[j])
+            _STAGES[j].load(run, record)
+        pending.clear()
+        run.rng = np.random.default_rng(seeds[i])
+        record = {**_STAGES[i].compute(run), "config_hash": stamp}
+        _STAGES[i].load(run, record)
+        loaded = i + 1
+        return record
+
     try:
-        for (name, compute, load), seed in zip(_STAGES, seeds):
-            run.rng = np.random.default_rng(seed)
-            record = run_stage(name, out_dir, lambda: {**compute(run), "config_hash": stamp})
+        for i, stage in enumerate(_STAGES):
+            record = run_stage(stage.name, out_dir, lambda: compute_stage(i))
             if record.get("config_hash") != stamp:
-                raise StaleArtifactError(f"{out_dir / f'{name}.json'} has config hash "
+                raise StaleArtifactError(f"{out_dir / f'{stage.name}.json'} has config hash "
                                          f"{record.get('config_hash')}, not this config's {stamp}")
-            load(run, record)
-            if name == until:
+            if stage.check is not None:
+                stage.check(record)
+            if loaded <= i:
+                pending.append(record)
+            if stage.name == until:
                 break
     except (ConstraintNotFoundError, StageError):
         raise

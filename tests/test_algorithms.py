@@ -70,6 +70,22 @@ class TestPreprocess:
             assert units[0, :, 1].tobytes() == d.tobytes()
             assert log_norms[0, 1].tobytes() == np.float64(n).tobytes()
 
+    @pytest.mark.parametrize("rows", [2, 1000, 2000])
+    def test_rows_into_buffers_have_the_bits_of_preprocess(self, rows):
+        # channel-major units and a strided norm column, as in the step buffers;
+        # zero, underflowing and diverged rows among the drawn ones
+        rng = np.random.default_rng(rows)
+        v = rng.normal(size=(rows, 20)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+        v[rng.choice(rows, size=max(1, rows // 50), replace=False)] = 0.0
+        if rows > 2:
+            v[1], v[2, 3], v[3, 0] = 1e-170, np.inf, np.nan
+        channels, norms = np.full((3, rows, 20), np.nan), np.full((rows, 2), np.nan)
+        with np.errstate(invalid="ignore"):
+            _preprocess_into(v, channels[1], norms[:, 1])
+            d, n = preprocess(v)
+        assert channels[1].tobytes() == d.tobytes()
+        assert norms[:, 1].tobytes() == n.tobytes()
+
 
 class TestSoftThreshold:
     def test_values(self):

@@ -203,6 +203,77 @@ class TestPipeline:
             run_pipeline(tiny_config(), tmp_path, until="nonsense")
 
 
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+
+    return refused
+
+
+PLOT_FILES = ("loss_curves.csv", "histogram.csv", "sublevel_posterior.csv")
+
+
+class TestDeferredLoads:
+    """A resume reads and checks every artifact, but builds only what a stage that still has to run needs."""
+
+    def test_finished_directory_builds_nothing(self, completed_run, monkeypatch):
+        out, record = completed_run
+        monkeypatch.setattr(pipeline, "instance_from_json", _refuse("instance_from_json"))
+        monkeypatch.setattr(pipeline, "_probe_arch", _refuse("_probe_arch"))
+        monkeypatch.setattr(pipeline.LearnedQuadArch, "init", _refuse("LearnedQuadArch.init"))
+        monkeypatch.setattr(pipeline.QuadLearnedAlgo, "set_flat", _refuse("set_flat"))
+        assert run_pipeline(tiny_config(), out, until="report") == record
+
+    def test_stale_samples_are_refused(self, completed_run, tmp_path):
+        out, _ = completed_run
+        run_pipeline(tiny_config(seed=4), tmp_path / "other", until="samples")
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        shutil.copy(tmp_path / "other" / "samples.json", resumed)
+        with pytest.raises(StaleArtifactError) as info:
+            run_pipeline(tiny_config(), resumed, until="report")
+        assert str(resumed / "samples.json") in str(info.value)
+
+    @pytest.fixture
+    def location_not_found(self, completed_run, tmp_path):
+        out, _ = completed_run
+        for stage in ("data", "init", "prior_location"):
+            shutil.copy(out / f"{stage}.json", tmp_path)
+        path = tmp_path / "prior_location.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "found": False}))
+        return tmp_path
+
+    def test_reused_location_outside_the_band_raises(self, location_not_found):
+        with pytest.raises(ConstraintNotFoundError, match="feasible band"):
+            run_pipeline(tiny_config(), location_not_found, until="prior_location")
+
+    def test_locate_prior_command_exits_two(self, location_not_found):
+        cfg_path = location_not_found / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(tiny_config())))
+        res = CliRunner().invoke(
+            main, ["locate-prior", "--config", str(cfg_path), "--out", str(location_not_found)]
+        )
+        assert res.exit_code == 2, res.output
+
+    def test_report_is_rewritten_without_a_probe(self, completed_run, tmp_path, monkeypatch):
+        out, record = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        for name in ("report.json",) + PLOT_FILES:
+            (resumed / name).unlink()
+        monkeypatch.setattr(pipeline, "_probe_arch", _refuse("_probe_arch"))
+        assert run_pipeline(tiny_config(), resumed, until="report") == record
+        for name in ("report.json",) + PLOT_FILES:
+            assert (resumed / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("problem", ["quadratic", "lasso"])
+    def test_straight_run_hands_on_the_generated_data(self, tmp_path, monkeypatch, problem):
+        monkeypatch.setattr(pipeline, "instance_from_json", _refuse("instance_from_json"))
+        monkeypatch.setattr(pipeline, "context_from_json", _refuse("context_from_json"))
+        cfg = tiny_config(problem=problem, dim=6, design_rows=4, reg_range=(0.1, 0.5))
+        assert len(run_pipeline(cfg, tmp_path, until="data")["instances"]) == 40
+
+
 class TestStaleArtifacts:
     """A directory written by another config, or before artifacts carried its hash, is refused."""
 
