@@ -460,9 +460,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     """Run the stages in order, stopping after ``until`` when given.
 
     Returns the record of the last completed stage.  A computed record is
-    loaded at once.  A reused one is read and checked at once, but loaded
-    only when a later stage has to compute, so a resume over a finished
-    directory builds no instances, algorithms or samples.  Raises
+    loaded at once.  A reused one is read and checked at once, but read
+    again and loaded only when a later stage has to compute, so a resume
+    over a finished directory builds no instances, algorithms or samples.
+    Raises
     ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.
@@ -478,17 +479,25 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
                           instances=None, learned=None, samples=None)
     stamp = cfg.hash()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
-    # the stages before ``loaded`` are handed on to ``run``; ``pending`` holds
-    # the reused records of the stages from ``loaded`` on
-    loaded, pending = 0, []
+    loaded = 0  # the stages before this one have handed their records on to ``run``
+
+    def checked(i, record):
+        if record.get("config_hash") != stamp:
+            raise StaleArtifactError(f"{out_dir / f'{_STAGES[i].name}.json'} has config hash "
+                                     f"{record.get('config_hash')}, not this config's {stamp}")
+        if _STAGES[i].check is not None:
+            _STAGES[i].check(record)
+        return record
 
     def compute_stage(i):
         nonlocal loaded
-        # first the reused records, each loaded on its own stage's stream
-        for j, record in enumerate(pending, start=loaded):
+        # first the reused stages, each loaded on its own stage's stream; their
+        # records are read again here rather than held since their first read,
+        # which would raise the peak memory of every resume
+        for j in range(loaded, i):
+            record = checked(j, json.loads((out_dir / f"{_STAGES[j].name}.json").read_text()))
             run.rng = np.random.default_rng(seeds[j])
             _STAGES[j].load(run, record)
-        pending.clear()
         run.rng = np.random.default_rng(seeds[i])
         record = {**_STAGES[i].compute(run), "config_hash": stamp}
         _STAGES[i].load(run, record)
@@ -497,14 +506,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
 
     try:
         for i, stage in enumerate(_STAGES):
-            record = run_stage(stage.name, out_dir, lambda: compute_stage(i))
-            if record.get("config_hash") != stamp:
-                raise StaleArtifactError(f"{out_dir / f'{stage.name}.json'} has config hash "
-                                         f"{record.get('config_hash')}, not this config's {stamp}")
-            if stage.check is not None:
-                stage.check(record)
-            if loaded <= i:
-                pending.append(record)
+            record = checked(i, run_stage(stage.name, out_dir, lambda: compute_stage(i)))
             if stage.name == until:
                 break
     except (ConstraintNotFoundError, StageError):
