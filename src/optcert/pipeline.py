@@ -459,12 +459,11 @@ STAGE_ORDER = tuple(stage.name for stage in _STAGES)
 def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
     """Run the stages in order, stopping after ``until`` when given.
 
-    Returns the record of the last completed stage.  A computed record is
-    loaded at once.  A reused one is read and checked at once, but read
-    again and loaded only when a later stage has to compute, so a resume
-    over a finished directory builds no instances, algorithms or samples.
-    Raises
-    ConstraintNotFoundError when no feasible region exists,
+    Returns the record of the last completed stage.  Every reused artifact
+    is read and checked, but the records are loaded into instances,
+    algorithms and samples only when some stage up to ``until`` has to
+    compute, so a resume over a finished directory builds none of them.
+    Raises ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.
     """
@@ -479,36 +478,19 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
                           instances=None, learned=None, samples=None)
     stamp = cfg.hash()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
-    loaded = 0  # the stages before this one have handed their records on to ``run``
-
-    def checked(i, record):
-        if record.get("config_hash") != stamp:
-            raise StaleArtifactError(f"{out_dir / f'{_STAGES[i].name}.json'} has config hash "
-                                     f"{record.get('config_hash')}, not this config's {stamp}")
-        if _STAGES[i].check is not None:
-            _STAGES[i].check(record)
-        return record
-
-    def compute_stage(i):
-        nonlocal loaded
-        # first the reused stages, each loaded on its own stage's stream; their
-        # records are read again here rather than held since their first read,
-        # which would raise the peak memory of every resume
-        for j in range(loaded, i):
-            record = checked(j, json.loads((out_dir / f"{_STAGES[j].name}.json").read_text()))
-            run.rng = np.random.default_rng(seeds[j])
-            _STAGES[j].load(run, record)
-        run.rng = np.random.default_rng(seeds[i])
-        record = {**_STAGES[i].compute(run), "config_hash": stamp}
-        _STAGES[i].load(run, record)
-        loaded = i + 1
-        return record
-
+    stages = _STAGES[:STAGE_ORDER.index(until) + 1] if until is not None else _STAGES
+    computes = not all((out_dir / f"{stage.name}.json").exists() for stage in stages)
     try:
-        for i, stage in enumerate(_STAGES):
-            record = checked(i, run_stage(stage.name, out_dir, lambda: compute_stage(i)))
-            if stage.name == until:
-                break
+        for stage, seed in zip(stages, seeds):
+            run.rng = np.random.default_rng(seed)
+            record = run_stage(stage.name, out_dir, lambda: {**stage.compute(run), "config_hash": stamp})
+            if record.get("config_hash") != stamp:
+                raise StaleArtifactError(f"{out_dir / f'{stage.name}.json'} has config hash "
+                                         f"{record.get('config_hash')}, not this config's {stamp}")
+            if stage.check is not None:
+                stage.check(record)
+            if computes:
+                stage.load(run, record)
     except (ConstraintNotFoundError, StageError):
         raise
     except Exception as exc:
