@@ -266,6 +266,21 @@ class TestDeferredLoads:
         for name in ("report.json",) + PLOT_FILES:
             assert (resumed / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_computing_resume_reads_each_artifact_once(self, completed_run, tmp_path, monkeypatch):
+        out, record = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        (resumed / "report.json").unlink()
+        reads, read_text = [], Path.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert run_pipeline(tiny_config(), resumed, until="report") == record
+        assert sorted(reads) == sorted(f"{stage}.json" for stage in STAGE_ORDER[:-1])
+
     @pytest.mark.parametrize("problem", ["quadratic", "lasso"])
     def test_straight_run_hands_on_the_generated_data(self, tmp_path, monkeypatch, problem):
         monkeypatch.setattr(pipeline, "instance_from_json", _refuse("instance_from_json"))
