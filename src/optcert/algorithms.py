@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ __all__ = [
     "preprocess",
     "soft_threshold",
     "hbf_params",
-    "hbf_step",
-    "fista_step",
-    "ista_step",
     "rollout",
     "reference_rollout",
     "QuadLearnedAlgo",
@@ -59,6 +56,8 @@ __all__ = [
     "HbfAlgo",
     "FistaAlgo",
     "IstaAlgo",
+    "ratio_step",
+    "grad_train_loss_onestep",
 ]
 
 
@@ -129,21 +128,71 @@ def soft_threshold(v: np.ndarray, t: float, out: np.ndarray | None = None) -> np
     return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0), out=out)
 
 
-def _step_buffers(arch, tape_type, rows: int, n: int, taped: bool):
-    """The architecture's step buffers for (rows, n) iterates, reallocated only when that shape changes.
+class _StepBuffers:
+    """The buffers of one learned step over (rows, n) iterates.
 
-    Taped steps refill ``arch.tape``, so a tape is valid until the next taped
-    step on ``arch``; untaped steps reuse ``arch.work`` and never touch the
-    tape.
+    ``channels`` is channel-major, (c, rows, n), so every channel is
+    contiguous; the direction net reads its (rows * n, c) view ``dir_in``,
+    and the step net the (rows, c - 1) log norms ``norms``.  Taped, it holds
+    a tape per net, and ``direction`` (rows, n) and ``step_size`` (rows,)
+    are views of their outputs.
     """
-    buffers = arch.tape if taped else arch.work
-    if buffers is None or buffers.shape != (rows, n):
-        buffers = tape_type(arch, rows, n, taped)
-        if taped:
-            arch.tape = buffers
-        else:
-            arch.work = buffers
-    return buffers
+
+    def __init__(self, arch, rows: int, n: int, taped: bool, channels: int = 3):
+        self.shape = (rows, n)
+        self.channels = np.empty((channels, rows, n))
+        self.dir_in = self.channels.reshape(channels, rows * n).T
+        self.norms = np.empty((rows, channels - 1))
+        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
+        self.step_tape = arch.step_net.new_tape(rows) if taped else None
+        self.direction = self.step_size = None  # set by each step
+
+
+class _LearnedArch(FlatParams):
+    """The nets of a learned rule, packed into one parameter and one gradient vector, and its step buffers.
+
+    ``params`` and ``grads`` hold the weights of ``nets`` in order, then
+    ``extra`` trailing entries.  ``tape`` is the step tape that every taped
+    step refills, ``work`` the buffers that every untaped step reuses.
+    """
+
+    buffer_type = _StepBuffers  # the class of the step buffers
+
+    def __init__(self, nets: list, extra: int = 0):
+        self.nets = nets
+        self.params, self.grads = pack_params(nets, extra)
+        self.tape = self.work = None
+
+    def buffers(self, rows: int, n: int, taped: bool):
+        """The step buffers for (rows, n) iterates, reallocated only when that shape changes.
+
+        Taped steps refill ``tape``, so a tape is valid until the next taped
+        step; untaped steps reuse ``work`` and never touch the tape.
+        """
+        buffers = self.tape if taped else self.work
+        if buffers is None or buffers.shape != (rows, n):
+            buffers = self.buffer_type(self, rows, n, taped)
+            if taped:
+                self.tape = buffers
+            else:
+                self.work = buffers
+        return buffers
+
+
+def _direction_and_step(arch: _LearnedArch, t: _StepBuffers, grad, x: np.ndarray, x_prev: np.ndarray) -> None:
+    """The front half of a learned step: channels 0-2 of ``t``, then the direction and step nets.
+
+    Channel 0 holds the unit rows of ``grad``, channel 1 those of the
+    momentum ``x - x_prev`` and channel 2 their product; their log norms are
+    the step net's first two inputs.  Any further channel must be filled
+    before.  Sets ``t.direction`` (rows, n) and ``t.step_size`` (rows,).
+    """
+    channels = t.channels
+    _preprocess_into(grad, channels[0], t.norms[:, 0])
+    _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
+    np.multiply(channels[0], channels[1], out=channels[2])
+    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(x.shape)
+    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +205,13 @@ _QUAD_STEP_DIMS = [2, 8, 8, 8, 8, 8, 1]
 _QUAD_MASK = [True, False, True, False, True, False]
 
 
-@dataclass(eq=False)
-class LearnedQuadArch(FlatParams):
-    """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order.
+class LearnedQuadArch(_LearnedArch):
+    """Direction and step nets; ``params`` and ``grads`` hold the weights of both, in that order."""
 
-    ``tape`` is the step tape that every taped step refills, ``work`` the
-    buffers that every untaped step reuses.
-    """
-
-    direction_net: DenseNet
-    step_net: DenseNet
-    tape: object = field(default=None, init=False, repr=False)
-    work: object = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.params, self.grads = pack_params(self.nets)
-
-    @property
-    def nets(self) -> list:
-        return [self.direction_net, self.step_net]
+    def __init__(self, direction_net: DenseNet, step_net: DenseNet):
+        self.direction_net = direction_net
+        self.step_net = step_net
+        super().__init__([direction_net, step_net])
 
     @classmethod
     def init(cls, rng: np.random.Generator) -> "LearnedQuadArch":
@@ -182,25 +219,6 @@ class LearnedQuadArch(FlatParams):
             direction_net=DenseNet.init(_QUAD_DIR_DIMS, _QUAD_MASK, rng),
             step_net=DenseNet.init(_QUAD_STEP_DIMS, _QUAD_MASK, rng),
         )
-
-
-class _QuadStepTape:
-    """The buffers of one learned quadratic step over (rows, n) iterates.
-
-    ``channels`` is channel-major, (3, rows, n), so every channel is
-    contiguous; the direction net reads its (rows * n, 3) view ``dir_in``.
-    Taped, it holds a tape per net, and ``direction`` (rows, n) and
-    ``step_size`` (rows,) are views of their outputs.
-    """
-
-    def __init__(self, arch: LearnedQuadArch, rows: int, n: int, taped: bool):
-        self.shape = (rows, n)
-        self.channels = np.empty((3, rows, n))
-        self.dir_in = self.channels.reshape(3, rows * n).T
-        self.norms = np.empty((rows, 2))
-        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
-        self.step_tape = arch.step_net.new_tape(rows) if taped else None
-        self.direction = self.step_size = None  # set by each step
 
 
 def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool = True):
@@ -212,19 +230,13 @@ def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool 
     """
     n = state.x_curr.shape[-1]
     x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
-    rows = len(x)
-    t = _step_buffers(arch, _QuadStepTape, rows, n, tape)
-    channels = t.channels
-    _preprocess_into(grad_quadratic(x, inst), channels[0], t.norms[:, 0])
-    _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
-    np.multiply(channels[0], channels[1], out=channels[2])
-    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(rows, n)
-    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
+    t = arch.buffers(len(x), n, tape)
+    _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev)
     x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
     return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
 
 
-def quad_step_backward(arch: LearnedQuadArch, tape: _QuadStepTape, out_grad: np.ndarray) -> np.ndarray:
+def quad_step_backward(arch: LearnedQuadArch, tape: _StepBuffers, out_grad: np.ndarray) -> np.ndarray:
     """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
 
     Each net writes its weight gradients into its slice of ``arch.grads``;
@@ -256,22 +268,41 @@ def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-class LearnedLassoArch(FlatParams):
+class _LassoStepBuffers(_StepBuffers):
+    """The buffers of one learned LASSO step: four channels, and the sparsity net's.
+
+    ``sp_in`` (3, rows, n) is channel-major like ``channels``; the sparsity
+    net reads its (rows * n, 3) view ``sparse_in``, and ``x_tilde`` is its
+    first channel.  Taped, it also holds the sparsity net's tape; ``gated``
+    is ``z * x_tilde``, the input of the soft threshold ``thresh`` (prox_tau
+    * reg, one per row), and ``y`` its output.
+    """
+
+    def __init__(self, arch, rows: int, n: int, taped: bool):
+        super().__init__(arch, rows, n, taped, channels=4)
+        self.sp_in = np.empty((3, rows, n))
+        self.sparse_in = self.sp_in.reshape(3, rows * n).T
+        self.x_tilde = self.sp_in[0]
+        self.z, self.gated, self.y = (np.empty((rows, n)) for _ in range(3))
+        self.sparse_tape = arch.sparsity_net.new_tape(rows * n) if taped else None
+        self.thresh = self.reg = None  # set by each step
+
+
+class LearnedLassoArch(_LearnedArch):
     """Direction, step and sparsity nets and the prox parameter.
 
     ``params`` holds the three nets' weights in that order, then
     ``prox_tau`` as its last entry; ``grads`` has the same layout.
-    ``tape`` is the step tape that every taped step refills, ``work`` the
-    buffers that every untaped step reuses.
     """
+
+    buffer_type = _LassoStepBuffers
 
     def __init__(self, direction_net: DenseNet, step_net: DenseNet, sparsity_net: DenseNet, prox_tau: float):
         self.direction_net = direction_net
         self.step_net = step_net
         self.sparsity_net = sparsity_net
-        self.params, self.grads = pack_params(self.nets, extra=1)
+        super().__init__([direction_net, step_net, sparsity_net], extra=1)
         self.prox_tau = prox_tau
-        self.tape = self.work = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, prox_tau: float) -> "LearnedLassoArch":
@@ -283,43 +314,12 @@ class LearnedLassoArch(FlatParams):
         )
 
     @property
-    def nets(self) -> list:
-        return [self.direction_net, self.step_net, self.sparsity_net]
-
-    @property
     def prox_tau(self) -> float:
         return float(self.params[-1])
 
     @prox_tau.setter
     def prox_tau(self, value: float) -> None:
         self.params[-1] = value
-
-
-class _LassoStepTape:
-    """The buffers of one learned LASSO step over (rows, n) iterates.
-
-    ``channels`` (4, rows, n) and ``sp_in`` (3, rows, n) are channel-major,
-    so every channel is contiguous; the direction and sparsity nets read
-    their (rows * n, c) views ``dir_in`` and ``sparse_in``, and ``x_tilde``
-    is the first channel of ``sp_in``.  Taped, it holds a tape per net, and
-    ``direction`` (rows, n) and ``step_size`` (rows,) are views of their
-    outputs; ``gated`` is ``z * x_tilde``, the input of the soft threshold
-    ``thresh`` (prox_tau * reg, one per row), and ``y`` its output.
-    """
-
-    def __init__(self, arch: LearnedLassoArch, rows: int, n: int, taped: bool):
-        self.shape = (rows, n)
-        self.channels = np.empty((4, rows, n))
-        self.sp_in = np.empty((3, rows, n))
-        self.dir_in = self.channels.reshape(4, rows * n).T
-        self.sparse_in = self.sp_in.reshape(3, rows * n).T
-        self.norms = np.empty((rows, 3))
-        self.x_tilde = self.sp_in[0]
-        self.z, self.gated, self.y = (np.empty((rows, n)) for _ in range(3))
-        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
-        self.step_tape = arch.step_net.new_tape(rows) if taped else None
-        self.sparse_tape = arch.sparsity_net.new_tape(rows * n) if taped else None
-        self.direction = self.step_size = self.thresh = self.reg = None  # set by each step
 
 
 def lasso_step_forward(
@@ -333,21 +333,15 @@ def lasso_step_forward(
     """
     n = state.x_curr.shape[-1]
     x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
-    rows = len(x)
-    t = _step_buffers(arch, _LassoStepTape, rows, n, tape)
+    t = arch.buffers(len(x), n, tape)
     t.reg = reg = reg_column(inst)
-    channels, sp_in = t.channels, t.sp_in
-    _preprocess_into(subgrad_lasso(x, inst, ctx), channels[0], t.norms[:, 0])
-    _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
-    _preprocess_into(reg * np.sign(x), channels[3], t.norms[:, 2])
-    np.multiply(channels[0], channels[1], out=channels[2])
-    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(rows, n)
-    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
+    _preprocess_into(reg * np.sign(x), t.channels[3], t.norms[:, 2])
+    _direction_and_step(arch, t, subgrad_lasso(x, inst, ctx), x, x_prev)
     x_tilde = np.multiply(t.step_size[:, None], t.direction, out=t.x_tilde)
     np.add(x, x_tilde, out=x_tilde)
-    sp_in[1] = x
-    sp_in[2] = channels[3]
-    z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(rows, n), out=t.z)
+    t.sp_in[1] = x
+    t.sp_in[2] = t.channels[3]
+    z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(x.shape), out=t.z)
     np.multiply(z, x_tilde, out=t.gated)
     t.thresh = arch.prox_tau * reg
     y = soft_threshold(t.gated, t.thresh, out=t.y)
@@ -358,7 +352,7 @@ def lasso_step_forward(
     return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
 
 
-def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepTape, out_grad: np.ndarray) -> np.ndarray:
+def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepBuffers, out_grad: np.ndarray) -> np.ndarray:
     """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
 
     Each net writes its weight gradients into its slice of ``arch.grads``,
@@ -403,28 +397,6 @@ def hbf_params(m_minus: float, L_plus: float) -> HbfParams:
     """Worst-case optimal heavy-ball step size and momentum for [m, L]."""
     sm, sL = np.sqrt(m_minus), np.sqrt(L_plus)
     return HbfParams(tau=(2.0 / (sL + sm)) ** 2, beta=((sL - sm) / (sL + sm)) ** 2)
-
-
-def hbf_step(params: HbfParams, state: AlgoState, inst) -> AlgoState:
-    x = state.x_curr
-    x_next = x - params.tau * grad_quadratic(x, inst) + params.beta * (x - state.x_prev)
-    return AlgoState(x_curr=x_next, x_prev=x)
-
-
-def fista_step(state: FistaState, inst, ctx: LassoClassContext) -> FistaState:
-    tau = 1.0 / ctx.lipschitz
-    t_next = (1.0 + np.sqrt(1.0 + 4.0 * state.t_k**2)) / 2.0
-    beta = (state.t_k - 1.0) / t_next
-    y = state.x_curr + beta * (state.x_curr - state.x_prev)
-    x_next = soft_threshold(y - tau * smooth_grad_lasso(y, inst, ctx), tau * reg_column(inst))
-    return FistaState(x_curr=x_next, x_prev=state.x_curr, t_k=t_next)
-
-
-def ista_step(state: AlgoState, inst, ctx: LassoClassContext) -> AlgoState:
-    tau = 1.0 / ctx.lipschitz
-    x = state.x_curr
-    x_next = soft_threshold(x - tau * smooth_grad_lasso(x, inst, ctx), tau * reg_column(inst))
-    return AlgoState(x_curr=x_next, x_prev=x)
 
 
 def reference_rollout(algo, instances, x0, k: int, step_seconds=None) -> np.ndarray:
@@ -515,7 +487,7 @@ class _Quadratic(_RowBatched):
 
 
 class _Lasso(_RowBatched):
-    """The LASSO class, bound to its shared design matrix: its batch and its loss."""
+    """The LASSO class, bound to its shared design matrix: its batch, loss and proximal-gradient step."""
 
     stack = staticmethod(LassoBatch.stack)
 
@@ -524,6 +496,11 @@ class _Lasso(_RowBatched):
 
     def loss(self, x: np.ndarray, inst):
         return loss_lasso(x, inst, self.ctx)
+
+    def prox_grad(self, z: np.ndarray, inst) -> np.ndarray:
+        """The step 1/L from ``z`` on the smooth part, then the soft threshold at reg / L."""
+        tau = 1.0 / self.ctx.lipschitz
+        return soft_threshold(z - tau * smooth_grad_lasso(z, inst, self.ctx), tau * reg_column(inst))
 
 
 class _Learned:
@@ -599,7 +576,9 @@ class HbfAlgo(_Quadratic):
         self.params = params
 
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return hbf_step(self.params, state, inst)
+        x = state.x_curr
+        x_next = x - self.params.tau * grad_quadratic(x, inst) + self.params.beta * (x - state.x_prev)
+        return AlgoState(x_curr=x_next, x_prev=x)
 
 
 class FistaAlgo(_Lasso):
@@ -607,12 +586,15 @@ class FistaAlgo(_Lasso):
         return FistaState(x_curr=np.asarray(x0, dtype=float), x_prev=np.asarray(x0, dtype=float))
 
     def step(self, state: FistaState, inst) -> FistaState:
-        return fista_step(state, inst, self.ctx)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * state.t_k**2)) / 2.0
+        beta = (state.t_k - 1.0) / t_next
+        y = state.x_curr + beta * (state.x_curr - state.x_prev)
+        return FistaState(x_curr=self.prox_grad(y, inst), x_prev=state.x_curr, t_k=t_next)
 
 
 class IstaAlgo(_Lasso):
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return ista_step(state, inst, self.ctx)
+        return AlgoState(x_curr=self.prox_grad(state.x_curr, inst), x_prev=state.x_curr)
 
 
 def ratio_step(algo, state, inst, l0=None):

@@ -301,60 +301,53 @@ def emit_plot_data(report: EvaluationReport, out_dir: Path) -> None:
 
 
 def _stage_data(run):
-    """The data record: the LASSO context (None for quadratics) and every instance.
-
-    The generated context and instances are handed on to ``_load_data``.
-    """
+    """The data record: the LASSO context (None for quadratics) and every instance."""
     cfg = run.cfg
     total = sum(cfg.sizes)
     if cfg.problem == "quadratic":
-        run.instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
+        instances = gen_quadratics(total, cfg.dim, cfg.m_range, cfg.L_range, cfg.seed)
         run.ctx = None
     else:
-        run.ctx, run.instances = gen_lasso(
-            total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed
-        )
+        run.ctx, instances = gen_lasso(total, cfg.dim, cfg.design_rows, cfg.reg_range, cfg.seed)
+    run.splits = split_dataset(instances, cfg.sizes)
     return {
         "context": context_to_json(run.ctx) if run.ctx is not None else None,
-        "instances": [instance_to_json(i) for i in run.instances],
+        "instances": [instance_to_json(i) for i in instances],
     }
 
 
 def _load_data(run, record):
-    if run.instances is None:
-        # read back: JSON keeps every bit of a float, so the instances and the
-        # LASSO context equal the generated data
-        ctx = record["context"]
-        run.ctx = context_from_json(ctx) if ctx is not None else None
-        run.instances = [instance_from_json(o) for o in record["instances"]]
-    run.splits = split_dataset(run.instances, run.cfg.sizes)
+    # JSON keeps every bit of a float, so the instances and the LASSO context
+    # equal the generated data
+    ctx = record["context"]
+    run.ctx = context_from_json(ctx) if ctx is not None else None
+    run.splits = split_dataset([instance_from_json(o) for o in record["instances"]], run.cfg.sizes)
 
 
-def _algos(run):
-    """The learned and baseline algorithms, built from the init stage's stream on first use."""
-    if run.learned is None:
-        cfg, ctx, rng = run.cfg, run.ctx, run.rng
-        if cfg.problem == "quadratic":
-            run.learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
-            run.baseline = HbfAlgo(hbf_params(cfg.m_range[0], cfg.L_range[1]))
-        else:
-            run.learned = LassoLearnedAlgo(LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx)
-            run.baseline = FistaAlgo(ctx)
-    return run.learned, run.baseline
+def _build_algos(run) -> None:
+    """The learned and baseline algorithms, the learned one drawn from the init stage's stream."""
+    cfg, ctx, rng = run.cfg, run.ctx, run.rng
+    if cfg.problem == "quadratic":
+        run.learned = QuadLearnedAlgo(LearnedQuadArch.init(rng))
+        run.baseline = HbfAlgo(hbf_params(cfg.m_range[0], cfg.L_range[1]))
+    else:
+        run.learned = LassoLearnedAlgo(LearnedLassoArch.init(rng, prox_tau=1.0 / ctx.lipschitz), ctx)
+        run.baseline = FistaAlgo(ctx)
 
 
 def _stage_init(run):
-    learned, baseline = _algos(run)
+    _build_algos(run)
     # only a computed init probes: a reused record overwrites every weight
-    _probe_arch(learned, run.splits.prior, run.x0, run.rng)
+    _probe_arch(run.learned, run.splits.prior, run.x0, run.rng)
     res = find_initialization(
-        learned, baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
+        run.learned, run.baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
     )
     return {"alpha": res.alpha.tolist(), "converged": bool(res.converged)}
 
 
 def _load_init(run, record):
-    _algos(run)[0].set_flat(record["alpha"])
+    _build_algos(run)
+    run.learned.set_flat(record["alpha"])
 
 
 def _stage_locate(run):
@@ -387,8 +380,7 @@ def _stage_sample(run):
 
 
 def _load_samples(run, record):
-    if run.samples is None:  # read back, without the validation matrices
-        run.samples = SampleSet.from_dict(record)
+    run.samples = SampleSet.from_dict(record)  # without the validation matrices
 
 
 def _stage_certify(run):
@@ -401,11 +393,13 @@ def _stage_certify(run):
     prior, kept = build_prior(phi)
     kept_stats = SufficientStats(t1=stats.t1[kept], t2=stats.t2[kept])
     cert = certify(prior, kept_stats, run.cfg.pac_config())
-    point_alpha = run.samples.points[kept[cert.point_index]]
+    point_alpha = np.asarray(run.samples.points[kept[cert.point_index]], dtype=float)
+    run.learned.set_flat(point_alpha)
+    run.bound = cert.bound
     return cert.to_dict(
         kept_indices=kept.tolist(),
         p_hats=p_hats.tolist(),
-        point_alpha=np.asarray(point_alpha, dtype=float).tolist(),
+        point_alpha=point_alpha.tolist(),
     )
 
 
@@ -433,9 +427,9 @@ def _stage_report(run):
 class _Stage(NamedTuple):
     """One pipeline stage.
 
-    ``compute(run)`` returns the stage's record; ``check(record)``, when
-    given, refuses a record that no later stage may use; ``load(run,
-    record)`` hands a record on to later stages.
+    ``compute(run)`` returns the stage's record and leaves ``run`` as
+    ``load(run, record)`` would; ``check(record)``, when given, refuses a
+    record that no later stage may use.
     """
 
     name: str
@@ -460,9 +454,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     """Run the stages in order, stopping after ``until`` when given.
 
     Returns the record of the last completed stage.  Every reused artifact
-    is read and checked, but the records are loaded into instances,
-    algorithms and samples only when some stage up to ``until`` has to
-    compute, so a resume over a finished directory builds none of them.
+    is read and checked, and loaded into splits, algorithms and samples only
+    when some stage up to ``until`` computes; a computed record is never
+    loaded, so a resume over a finished directory builds nothing.
     Raises ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.
@@ -471,17 +465,17 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
         raise ValueError(f"unknown stage: {until!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``,
-    # ``instances`` and ``splits`` (data), ``learned`` and ``baseline`` (init),
-    # ``samples``, with validation matrices when sampled in this call, and ``bound``
-    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(), x0=np.zeros(cfg.dim),
-                          instances=None, learned=None, samples=None)
+    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``
+    # and ``splits`` (data), ``learned`` and ``baseline`` (init), ``samples``,
+    # with validation matrices when sampled in this call, and ``bound``
+    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(), x0=np.zeros(cfg.dim))
     stamp = cfg.hash()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
     stages = _STAGES[:STAGE_ORDER.index(until) + 1] if until is not None else _STAGES
-    computes = not all((out_dir / f"{stage.name}.json").exists() for stage in stages)
+    on_disk = [(out_dir / f"{stage.name}.json").exists() for stage in stages]
+    computes = not all(on_disk)
     try:
-        for stage, seed in zip(stages, seeds):
+        for stage, seed, reused in zip(stages, seeds, on_disk):
             run.rng = np.random.default_rng(seed)
             record = run_stage(stage.name, out_dir, lambda: {**stage.compute(run), "config_hash": stamp})
             if record.get("config_hash") != stamp:
@@ -489,7 +483,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
                                          f"{record.get('config_hash')}, not this config's {stamp}")
             if stage.check is not None:
                 stage.check(record)
-            if computes:
+            if computes and reused:
                 stage.load(run, record)
     except (ConstraintNotFoundError, StageError):
         raise

@@ -89,7 +89,6 @@ class StageConfig:
     n_init: int = 100
     eps_init: float = 10.0
     max_iterations: int = 5_000
-    clip_norm: float = 1.0
     guard_factor: float = 1e6  # restart trajectory when loss grows this much
 
     def __post_init__(self):
@@ -108,14 +107,14 @@ def _finite_sq_norm(grad: np.ndarray) -> float | None:
     return None
 
 
-def _clip(grad: np.ndarray, max_norm: float, sq_norm: float) -> np.ndarray:
-    """Scales ``grad`` in place to norm ``max_norm`` when it is longer (and ``max_norm`` > 0); returns it.
+def _clip(grad: np.ndarray, sq_norm: float) -> np.ndarray:
+    """Scales ``grad`` in place to unit norm when it is longer; returns it.
 
     ``sq_norm`` is ``grad @ grad``, from ``_finite_sq_norm``.
     """
     norm = math.sqrt(sq_norm)
-    if max_norm > 0 and norm > max_norm:
-        grad *= max_norm / norm
+    if norm > 1.0:
+        grad *= 1.0 / norm
     return grad
 
 
@@ -212,7 +211,7 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         held += 1
         sq_norm = _finite_sq_norm(grad)
         if sq_norm is not None:
-            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm, sq_norm))
+            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, sq_norm))
             algo.set_flat(new_flat)
             if adam.step_count % cfg.decay_every == 0:
                 adam.lr *= 0.5
@@ -247,7 +246,6 @@ class LocateConfig:
     n_max: int = 20_000
     check_every: int = 500
     run_length: int = 50  # iterations per constraint-indicator run
-    clip_norm: float = 1.0
     guard_factor: float = 1e6
     score_instances: int = 20  # validation instances used to rank feasible points
 
@@ -290,13 +288,11 @@ def locate_prior(
     for i in range(1, cfg.n_max + 1):
         final_state, grad, final_loss = _segment_updates(traj, cfg.segment_len)
         sq_norm = _finite_sq_norm(grad)
-        if sq_norm is None or _diverged(final_loss, traj.base_loss, cfg.guard_factor):
-            # diverged segment: restart the trajectory, keep the parameters
-            traj.restart()
-            continue
-        proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, cfg.clip_norm, sq_norm))
-        algo.set_flat(proposal)
-        rolled_back = False
+        # a diverged segment restarts the trajectory and keeps the parameters
+        restart = sq_norm is None or _diverged(final_loss, traj.base_loss, cfg.guard_factor)
+        if not restart:
+            proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, sq_norm))
+            algo.set_flat(proposal)
         if i % cfg.check_every == 0:
             res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
             if spec.admits(res):
@@ -314,13 +310,13 @@ def locate_prior(
             elif found:
                 # reject: restore the feasible hyperparameters, reset iterates
                 algo.set_flat(checkpoint)
-                rolled_back = True
-        if rolled_back:
+                restart = True
+        if i % cfg.decay_every == 0:
+            adam.lr *= 0.5
+        if restart:
             traj.restart()
         else:
             traj.advance(final_state, final_loss)
-        if i % cfg.decay_every == 0:
-            adam.lr *= 0.5
     if found:
         algo.set_flat(checkpoint)
         return PriorLocation(alpha=checkpoint, constraint_found=True, estimate=estimate)

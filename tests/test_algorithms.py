@@ -12,11 +12,8 @@ from optcert.algorithms import (
     LearnedQuadArch,
     QuadLearnedAlgo,
     ZeroLossError,
-    fista_step,
     grad_train_loss_onestep,
     hbf_params,
-    hbf_step,
-    ista_step,
     _preprocess_into,
     _sigmoid,
     preprocess,
@@ -112,7 +109,7 @@ class TestHbf:
         inst = quad([1.0, 2.0], [1.0, 4.0])
         x_star = inst.rhs / inst.diag
         st = AlgoState(x_curr=x_star, x_prev=x_star)
-        nxt = hbf_step(hbf_params(1.0, 4.0), st, inst)
+        nxt = HbfAlgo(hbf_params(1.0, 4.0)).step(st, inst)
         np.testing.assert_allclose(nxt.x_curr, x_star)
 
     def test_beta_zero_is_gradient_descent(self):
@@ -123,16 +120,17 @@ class TestHbf:
         st = AlgoState(x_curr=x, x_prev=np.array([5.0, 5.0]))
         from optcert.algorithms import HbfParams
 
-        nxt = hbf_step(HbfParams(tau=0.1, beta=0.0), st, inst)
+        nxt = HbfAlgo(HbfParams(tau=0.1, beta=0.0)).step(st, inst)
         np.testing.assert_allclose(nxt.x_curr, x - 0.1 * grad_quadratic(x, inst))
 
     def test_one_dimensional_recurrence(self):
         inst = quad([2.0], [1.0])
         p = hbf_params(1.0, 9.0)
+        algo = HbfAlgo(p)
         st = AlgoState(x_curr=np.array([1.0]), x_prev=np.array([0.5]))
         x, xp = 1.0, 0.5
         for _ in range(10):
-            st = hbf_step(p, st, inst)
+            st = algo.step(st, inst)
             x, xp = x - p.tau * 2.0 * (2.0 * x - 1.0) + p.beta * (x - xp), x
             assert st.x_curr[0] == pytest.approx(x, rel=1e-12)
 
@@ -142,15 +140,15 @@ class TestFista:
         ctx = LassoClassContext(design=np.eye(1), lipschitz=1.0)
         inst = LassoInstance(rhs=np.array([0.0]), reg=0.1)
         st = FistaState(x_curr=np.zeros(1), x_prev=np.zeros(1), t_k=1.0)
-        st = fista_step(st, inst, ctx)
+        st = FistaAlgo(ctx).step(st, inst)
         assert st.t_k == pytest.approx((1 + np.sqrt(5)) / 2)
 
     def test_first_step_is_proximal_gradient(self):
         ctx, insts = gen_lasso(1, 5, 3, (0.1, 0.3), 3)
         inst = insts[0]
         x0 = np.ones(5)
-        f = fista_step(FistaState(x_curr=x0, x_prev=x0, t_k=1.0), inst, ctx)
-        i = ista_step(AlgoState(x_curr=x0, x_prev=x0), inst, ctx)
+        f = FistaAlgo(ctx).step(FistaState(x_curr=x0, x_prev=x0, t_k=1.0), inst)
+        i = IstaAlgo(ctx).step(AlgoState(x_curr=x0, x_prev=x0), inst)
         np.testing.assert_allclose(f.x_curr, i.x_curr)
 
 
@@ -226,9 +224,7 @@ class TestLearnedLassoStep:
     def test_norm_rescaling_contract(self):
         algo = make_lasso_algo(3, self.ctx)
         st = algo.init_state(np.array([1.0, -2.0, 3.0, 0.5, 0.1, -0.4]))
-        from optcert.algorithms import lasso_step_forward
-
-        nxt, tape = lasso_step_forward(algo.arch, st, self.insts[0], self.ctx)
+        nxt, tape = algo.step_with_tape(st, self.insts[0])
         if np.linalg.norm(tape.y) > 0:
             assert np.linalg.norm(nxt.x_curr) == pytest.approx(np.linalg.norm(tape.x_tilde))
 
@@ -236,10 +232,8 @@ class TestLearnedLassoStep:
         # z=1, prox_tau=0 -> output equals x_tilde
         algo = make_lasso_algo(4, self.ctx)
         algo.arch.prox_tau = 0.0
-        from optcert.algorithms import lasso_step_forward
-
         st = algo.init_state(np.ones(6))
-        nxt, tape = lasso_step_forward(algo.arch, st, self.insts[0], self.ctx)
+        nxt, tape = algo.step_with_tape(st, self.insts[0])
         # with threshold 0, y = z*x_tilde rescaled back to ||x_tilde||
         assert np.linalg.norm(nxt.x_curr) == pytest.approx(np.linalg.norm(tape.x_tilde))
 

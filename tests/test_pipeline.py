@@ -49,6 +49,8 @@ BAD_SECTIONS = [
     ("sgld", {"n_samples": 3, "thinning": 1, "run_length": 10, "segment_len": 5, "target_len": 2}),
     ("init", {"segment_len": 0}),
     ("locate", {"n_max": 600, "segment_len": 51}),
+    ("init", {"clip_norm": 2.0}),
+    ("locate", {"clip_norm": 0.5}),
 ]
 
 
@@ -287,6 +289,35 @@ class TestDeferredLoads:
         monkeypatch.setattr(pipeline, "context_from_json", _refuse("context_from_json"))
         cfg = tiny_config(problem=problem, dim=6, design_rows=4, reg_range=(0.1, 0.5))
         assert len(run_pipeline(cfg, tmp_path, until="data")["instances"]) == 40
+
+
+class TestComputeOrLoad:
+    """A stage computes its record or loads a reused one, never both."""
+
+    def test_straight_run_loads_nothing(self, completed_run, tmp_path, monkeypatch):
+        out, record = completed_run
+        refused = tuple(stage._replace(load=_refuse(f"load of {stage.name}")) for stage in pipeline._STAGES)
+        monkeypatch.setattr(pipeline, "_STAGES", refused)
+        assert run_pipeline(tiny_config(), tmp_path, until="report") == record
+
+    def test_report_resume_loads_each_reused_record_once(self, completed_run, tmp_path, monkeypatch):
+        out, record = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        (resumed / "report.json").unlink()
+        loads = []
+
+        def counted(stage):
+            def load(run, reused):
+                loads.append(stage.name)
+                stage.load(run, reused)
+
+            return stage._replace(load=load)
+
+        monkeypatch.setattr(pipeline, "_STAGES", tuple(counted(stage) for stage in pipeline._STAGES))
+        assert run_pipeline(tiny_config(), resumed, until="report") == record
+        assert loads == list(STAGE_ORDER[:-1])
+        assert (resumed / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 class TestStaleArtifacts:

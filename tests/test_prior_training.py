@@ -400,7 +400,7 @@ class TestPinnedLoops:
         # alpha toward 1: checks reject and roll back; below alpha = 0 the
         # iterates grow, and the guard restarts the carried trajectory
         guard, estimate = prior_training._diverged, prior_training.estimate_sublevel_probability
-        seen = {"restarts": 0, "accepts": 0, "rollbacks": 0}
+        seen = {"restarts": 0, "accepts": 0, "rollbacks": 0, "checks": 0}
 
         def diverged(*args):
             out = guard(*args)
@@ -409,6 +409,7 @@ class TestPinnedLoops:
 
         def check(algo, instances, x0, k, spec, rng):
             res = estimate(algo, instances, x0, k, spec, rng)
+            seen["checks"] += 1
             inside = res.conclusive and spec.p_l <= res.point_estimate <= spec.p_u
             seen["rollbacks"] += seen["accepts"] > 0 and not inside
             seen["accepts"] += inside
@@ -426,6 +427,8 @@ class TestPinnedLoops:
         assert _pin(res.alpha, rng) == ([alpha], draw)
         assert res.estimate == 1.0 / 60.0
         assert min(seen.values()) > 0
+        # a diverged segment skips only its Adam step: every check_every-th iteration checks
+        assert seen["checks"] == cfg.n_max // cfg.check_every
 
     @pytest.mark.parametrize("segment_len, seed, alpha, draw", [
         (1, 0, "0x1.8c6f01c76da86p-2", 486511105804116091),
