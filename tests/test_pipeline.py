@@ -295,7 +295,7 @@ class TestComputeOrLoad:
     """A stage computes its record or loads a reused one, never both."""
 
     def test_straight_run_loads_nothing(self, completed_run, tmp_path, monkeypatch):
-        out, record = completed_run
+        _, record = completed_run
         refused = tuple(stage._replace(load=_refuse(f"load of {stage.name}")) for stage in pipeline._STAGES)
         monkeypatch.setattr(pipeline, "_STAGES", refused)
         assert run_pipeline(tiny_config(), tmp_path, until="report") == record
