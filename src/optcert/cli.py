@@ -50,10 +50,15 @@ def _run(config, seed, out, until):
 
 
 def _summary(record: dict) -> dict:
+    """The record without its lists and dicts of 200 printed characters or more.
+
+    A list of n items prints at least 3n characters and a dict at least 6n,
+    so one of 67 items or more is dropped without building its string.
+    """
     return {
         k: v
         for k, v in record.items()
-        if not isinstance(v, (list, dict)) or len(str(v)) < 200
+        if not isinstance(v, (list, dict)) or (len(v) < 67 and len(str(v)) < 200)
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from optcert import pipeline
-from optcert.cli import main
+from optcert.cli import _summary, main
 from optcert.pipeline import (
     ConstraintNotFoundError,
     ExperimentConfig,
@@ -320,6 +320,83 @@ class TestComputeOrLoad:
         assert (resumed / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
+def _counting_reads(monkeypatch) -> list:
+    """Patch ``Path.read_text`` to record the name of every file it reads."""
+    reads, read_text = [], Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    return reads
+
+
+class TestStampedResume:
+    """A resume that computes nothing verifies the records it neither checks nor returns from their last bytes."""
+
+    def test_report_resume_parses_only_the_location_and_the_report(self, completed_run, monkeypatch):
+        out, record = completed_run
+        reads = _counting_reads(monkeypatch)
+        assert run_pipeline(tiny_config(), out, until="report") == record
+        assert reads == ["prior_location.json", "report.json"]
+
+    def test_certificate_resume_returns_the_straight_certificate(self, completed_run, tmp_path, monkeypatch):
+        out, _ = completed_run
+        straight = run_pipeline(tiny_config(), tmp_path, until="certificate")
+        reads = _counting_reads(monkeypatch)
+        assert run_pipeline(tiny_config(), out, until="certificate") == straight
+        assert reads == ["prior_location.json", "certificate.json"]
+
+    def test_location_outside_the_band_still_raises(self, completed_run, tmp_path):
+        out, _ = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        path = resumed / "prior_location.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "found": False}))
+        with pytest.raises(ConstraintNotFoundError, match="feasible band"):
+            run_pipeline(tiny_config(), resumed, until="report")
+
+    def test_every_artifact_ends_with_its_stamp(self, completed_run):
+        out, _ = completed_run
+        tail = f', "config_hash": "{tiny_config().hash()}"}}'
+        for stage in STAGE_ORDER:
+            assert (out / f"{stage}.json").read_text().endswith(tail), stage
+
+    @pytest.fixture(params=["data", "init", "samples", "certificate"])
+    def reformatted(self, request, completed_run, tmp_path):
+        """A finished directory with one unchecked, unreturned artifact rewritten with another layout."""
+        out, _ = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        return resumed / f"{request.param}.json"
+
+    def test_reformatted_artifact_with_the_right_hash_resumes(self, completed_run, reformatted, monkeypatch):
+        _, record = completed_run
+        reformatted.write_text(json.dumps(json.loads(reformatted.read_text()), indent=1))
+        reads = _counting_reads(monkeypatch)
+        assert run_pipeline(tiny_config(), reformatted.parent, until="report") == record
+        assert reformatted.name in reads
+
+    def test_reformatted_artifact_with_another_hash_is_refused(self, reformatted):
+        stale = {**json.loads(reformatted.read_text()), "config_hash": tiny_config(seed=4).hash()}
+        reformatted.write_text(json.dumps(stale, indent=1))
+        with pytest.raises(StaleArtifactError) as info:
+            run_pipeline(tiny_config(), reformatted.parent, until="report")
+        assert str(reformatted) in str(info.value)
+        assert tiny_config(seed=4).hash() in str(info.value) and tiny_config().hash() in str(info.value)
+
+    def test_a_skipped_body_is_checked_when_a_later_call_loads_it(self, completed_run, tmp_path):
+        out, record = completed_run
+        resumed = tmp_path / "resumed"
+        shutil.copytree(out, resumed)
+        (resumed / "samples.json").write_text(f'{{"points": null, "config_hash": "{tiny_config().hash()}"}}')
+        assert run_pipeline(tiny_config(), resumed, until="report") == record
+        (resumed / "report.json").unlink()
+        with pytest.raises(StageError):
+            run_pipeline(tiny_config(), resumed, until="report")
+
+
 class TestStaleArtifacts:
     """A directory written by another config, or before artifacts carried its hash, is refused."""
 
@@ -496,6 +573,11 @@ class TestDataStage:
         assert record["instances"][0]["kind"] == "lasso"
 
 
+def _printed_length_summary(record):
+    """The CLI summary as it was written before it counted items: every list and dict printed in full."""
+    return {k: v for k, v in record.items() if not isinstance(v, (list, dict)) or len(str(v)) < 200}
+
+
 class TestCli:
     def test_gen_data_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -531,6 +613,17 @@ class TestCli:
         a = (tmp_path / "a" / "data.json").read_text()
         b = (tmp_path / "b" / "data.json").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_summary_keeps_the_keys_of_the_printed_length_test(self, completed_run, stage):
+        out, _ = completed_run
+        record = json.loads((out / f"{stage}.json").read_text())
+        assert _summary(record) == _printed_length_summary(record)
+
+    def test_summary_at_the_item_count_edge(self):
+        record = {"kept": [1] * 66, "dropped": [1] * 67, "pairs": {str(i): i for i in range(30)}}
+        assert len(str(record["kept"])) == 198 and len(str(record["dropped"])) == 201
+        assert _summary(record) == _printed_length_summary(record) == {"kept": record["kept"]}
 
     @pytest.mark.parametrize("section, value", BAD_SECTIONS)
     def test_invalid_config_exits_three_and_writes_nothing(self, tmp_path, section, value):
