@@ -49,16 +49,23 @@ def _run(config, seed, out, until):
     click.echo(json.dumps(_summary(record)))
 
 
-def _summary(record: dict) -> dict:
-    """The record without its lists and dicts of 200 printed characters or more.
+def _few_items(value) -> bool:
+    """Whether ``value`` and every list or dict inside it hold fewer than 67 items.
 
     A list of n items prints at least 3n characters and a dict at least 6n,
-    so one of 67 items or more is dropped without building its string.
+    so a value for which this is false prints at least 201.
     """
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or (len(value) < 67 and all(map(_few_items, value)))
+
+
+def _summary(record: dict) -> dict:
+    """The record without its lists and dicts of 200 printed characters or more."""
     return {
         k: v
         for k, v in record.items()
-        if not isinstance(v, (list, dict)) or (len(v) < 67 and len(str(v)) < 200)
+        if not isinstance(v, (list, dict)) or (_few_items(v) and len(str(v)) < 200)
     }
 
 

@@ -475,7 +475,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     When none computes, nothing is built: the returned record and
     ``prior_location.json``, whose ``found`` is checked, are parsed, and
     every other artifact is verified by the stamp in its last bytes, or
-    parsed and checked when they do not match.
+    parsed and checked when they do not match.  The body of an artifact
+    verified by its stamp is checked only when a later call loads it.
     Raises ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.

@@ -191,8 +191,12 @@ class TestPipeline:
 
     def test_every_artifact_carries_the_config_hash(self, completed_run):
         out, _ = completed_run
+        stamp = tiny_config().hash()
         for stage in STAGE_ORDER:
-            assert json.loads((out / f"{stage}.json").read_text())["config_hash"] == tiny_config().hash()
+            text = (out / f"{stage}.json").read_text()
+            assert json.loads(text)["config_hash"] == stamp
+            # the layout a resume reads the stamp from: the last key, in the last bytes
+            assert text.endswith(f', "config_hash": "{stamp}"}}'), stage
 
     def test_determinism_across_directories(self, completed_run, tmp_path):
         out, _ = completed_run
@@ -215,8 +219,20 @@ def _refuse(what):
 PLOT_FILES = ("loss_curves.csv", "histogram.csv", "sublevel_posterior.csv")
 
 
+def _counting_reads(monkeypatch) -> list:
+    """Patch ``Path.read_text`` to record the name of every file it reads."""
+    reads, read_text = [], Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    return reads
+
+
 class TestDeferredLoads:
-    """A resume reads and checks every artifact, but builds only what a stage that still has to run needs."""
+    """A resume verifies every artifact, but builds only what a stage that still has to run needs."""
 
     def test_finished_directory_builds_nothing(self, completed_run, monkeypatch):
         out, record = completed_run
@@ -273,13 +289,7 @@ class TestDeferredLoads:
         resumed = tmp_path / "resumed"
         shutil.copytree(out, resumed)
         (resumed / "report.json").unlink()
-        reads, read_text = [], Path.read_text
-
-        def counted(path, *args, **kwargs):
-            reads.append(path.name)
-            return read_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counted)
+        reads = _counting_reads(monkeypatch)
         assert run_pipeline(tiny_config(), resumed, until="report") == record
         assert sorted(reads) == sorted(f"{stage}.json" for stage in STAGE_ORDER[:-1])
 
@@ -320,18 +330,6 @@ class TestComputeOrLoad:
         assert (resumed / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
-def _counting_reads(monkeypatch) -> list:
-    """Patch ``Path.read_text`` to record the name of every file it reads."""
-    reads, read_text = [], Path.read_text
-
-    def counted(path, *args, **kwargs):
-        reads.append(path.name)
-        return read_text(path, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", counted)
-    return reads
-
-
 class TestStampedResume:
     """A resume that computes nothing verifies the records it neither checks nor returns from their last bytes."""
 
@@ -356,12 +354,6 @@ class TestStampedResume:
         path.write_text(json.dumps({**json.loads(path.read_text()), "found": False}))
         with pytest.raises(ConstraintNotFoundError, match="feasible band"):
             run_pipeline(tiny_config(), resumed, until="report")
-
-    def test_every_artifact_ends_with_its_stamp(self, completed_run):
-        out, _ = completed_run
-        tail = f', "config_hash": "{tiny_config().hash()}"}}'
-        for stage in STAGE_ORDER:
-            assert (out / f"{stage}.json").read_text().endswith(tail), stage
 
     @pytest.fixture(params=["data", "init", "samples", "certificate"])
     def reformatted(self, request, completed_run, tmp_path):
@@ -621,9 +613,21 @@ class TestCli:
         assert _summary(record) == _printed_length_summary(record)
 
     def test_summary_at_the_item_count_edge(self):
-        record = {"kept": [1] * 66, "dropped": [1] * 67, "pairs": {str(i): i for i in range(30)}}
+        record = {"kept": [1] * 66, "dropped": [1] * 67, "pairs": {str(i): i for i in range(30)},
+                  "nested_kept": [[1] * 65], "nested_dropped": [[1] * 67]}
         assert len(str(record["kept"])) == 198 and len(str(record["dropped"])) == 201
-        assert _summary(record) == _printed_length_summary(record) == {"kept": record["kept"]}
+        assert len(str(record["nested_kept"])) == 197
+        assert _summary(record) == _printed_length_summary(record)
+        assert _summary(record) == {"kept": record["kept"], "nested_kept": record["nested_kept"]}
+
+    def test_summary_drops_long_values_without_printing_them(self):
+        class Unprintable:
+            def __repr__(self):
+                raise AssertionError("a long value was printed")
+
+        many = [Unprintable()] * 67
+        record = {"flat": many, "nested": [many], "in_dict": {"points": [many]}, "bound": 1.5}
+        assert _summary(record) == {"bound": 1.5}
 
     @pytest.mark.parametrize("section, value", BAD_SECTIONS)
     def test_invalid_config_exits_three_and_writes_nothing(self, tmp_path, section, value):
