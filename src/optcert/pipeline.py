@@ -496,10 +496,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     computes = not all(on_disk)
     try:
         for stage, seed, reused in zip(stages, seeds, on_disk):
-            # a resume that computes nothing needs of a record it neither checks
-            # nor returns only its stamp; any other tail is parsed and checked
-            if not computes and stage.check is None and stage is not stages[-1] \
-                    and _ends_with_stamp(out_dir / f"{stage.name}.json", stamp):
+            # a resume that computes nothing needs only the stamp of a record it
+            # neither checks nor returns; a file that ends otherwise is parsed
+            if (not computes and stage.check is None and stage is not stages[-1]
+                    and _ends_with_stamp(out_dir / f"{stage.name}.json", stamp)):
                 continue
             run.rng = np.random.default_rng(seed)
             record = run_stage(stage.name, out_dir, lambda: {**stage.compute(run), "config_hash": stamp})

@@ -566,7 +566,7 @@ class TestDataStage:
 
 
 def _printed_length_summary(record):
-    """The CLI summary as it was written before it counted items: every list and dict printed in full."""
+    """The CLI summary by its definition: every list and dict printed in full and measured."""
     return {k: v for k, v in record.items() if not isinstance(v, (list, dict)) or len(str(v)) < 200}
 
 
