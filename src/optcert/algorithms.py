@@ -74,9 +74,7 @@ class AlgoState:
 
 
 @dataclass(frozen=True)
-class FistaState:
-    x_curr: np.ndarray
-    x_prev: np.ndarray
+class FistaState(AlgoState):
     t_k: float = 1.0
 
 
@@ -221,35 +219,6 @@ class LearnedQuadArch(_LearnedArch):
         )
 
 
-def quad_step_forward(arch: LearnedQuadArch, state: AlgoState, inst, tape: bool = True):
-    """One learned step on one instance, or on the rows of a ``QuadraticBatch``.
-
-    The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
-    norm rows.  Returns the next state and, with ``tape``, the
-    architecture's step tape, refilled by this step (else None).
-    """
-    n = state.x_curr.shape[-1]
-    x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
-    t = arch.buffers(len(x), n, tape)
-    _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev)
-    x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
-    return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
-
-
-def quad_step_backward(arch: LearnedQuadArch, tape: _StepBuffers, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
-
-    Each net writes its weight gradients into its slice of ``arch.grads``;
-    the result is a copy of that vector.
-    """
-    out_grad = out_grad.reshape(tape.direction.shape)
-    g_s = row_dot(tape.direction, out_grad)
-    g_d = tape.step_size[:, None] * out_grad
-    arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1), input_grad=False)
-    arch.step_net.backward(tape.step_tape, g_s[:, None], input_grad=False)
-    return arch.grads.copy()
-
-
 # ---------------------------------------------------------------------------
 # learned architecture for LASSO
 # ---------------------------------------------------------------------------
@@ -320,72 +289,6 @@ class LearnedLassoArch(_LearnedArch):
     @prox_tau.setter
     def prox_tau(self, value: float) -> None:
         self.params[-1] = value
-
-
-def lasso_step_forward(
-    arch: LearnedLassoArch, state: AlgoState, inst, ctx: LassoClassContext, tape: bool = True
-):
-    """One learned step on one instance, or on the rows of a ``LassoBatch``.
-
-    The direction and sparsity nets see (B*n, c) coordinate rows and the
-    step net (B, 3) norm rows.  Returns the next state and, with ``tape``,
-    the architecture's step tape, refilled by this step (else None).
-    """
-    n = state.x_curr.shape[-1]
-    x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
-    t = arch.buffers(len(x), n, tape)
-    t.reg = reg = reg_column(inst)
-    _preprocess_into(reg * np.sign(x), t.channels[3], t.norms[:, 2])
-    _direction_and_step(arch, t, subgrad_lasso(x, inst, ctx), x, x_prev)
-    x_tilde = np.multiply(t.step_size[:, None], t.direction, out=t.x_tilde)
-    np.add(x, x_tilde, out=x_tilde)
-    t.sp_in[1] = x
-    t.sp_in[2] = t.channels[3]
-    z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(x.shape), out=t.z)
-    np.multiply(z, x_tilde, out=t.gated)
-    t.thresh = arch.prox_tau * reg
-    y = soft_threshold(t.gated, t.thresh, out=t.y)
-    ny = np.sqrt(row_dot(y, y))
-    # rescale so the prox does not change the norm; a zero row stays put
-    scale = np.divide(np.sqrt(row_dot(x_tilde, x_tilde)), ny, out=np.ones_like(ny), where=ny > 0)
-    x_next = (y * scale[:, None]).reshape(state.x_curr.shape)
-    return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if tape else None)
-
-
-def lasso_step_backward(arch: LearnedLassoArch, tape: _LassoStepBuffers, out_grad: np.ndarray) -> np.ndarray:
-    """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
-
-    Each net writes its weight gradients into its slice of ``arch.grads``,
-    whose last entry takes the ``prox_tau`` term; the result is a copy of
-    that vector.
-    """
-    y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
-    thresh, reg = tape.thresh.item(), tape.reg.item()
-    ny = math.sqrt(y @ y)
-    nxt = math.sqrt(x_tilde @ x_tilde)
-    g_norm = None  # the gradient through the rescaling's numerator ||x_tilde||
-    if ny > 0:
-        u = y / ny
-        uo = float(u @ out_grad)
-        g_y = (nxt / ny) * (out_grad - u * uo)
-        if nxt > 0:
-            g_norm = uo * (x_tilde / nxt)
-    else:
-        g_y = np.asarray(out_grad, dtype=float)
-    active = np.abs(gated) > thresh
-    g_gated = g_y * active
-    g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
-    g_z = g_gated * x_tilde
-    g_a = g_z * z * (1.0 - z)
-    g_sp_in, _ = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
-    g_xt = g_gated * z if g_norm is None else g_norm + g_gated * z
-    g_xt = g_xt + g_sp_in[:, 0]
-    g_s = float(tape.direction[0] @ g_xt)
-    g_d = tape.step_size[0] * g_xt
-    arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
-    arch.step_net.backward(tape.step_tape, np.array([g_s]), input_grad=False)
-    arch.grads[-1] = g_prox_tau
-    return arch.grads.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +406,14 @@ class _Lasso(_RowBatched):
         return soft_threshold(z - tau * smooth_grad_lasso(z, inst, self.ctx), tau * reg_column(inst))
 
 
-class _Learned:
-    """The flat-parameter interface of a learned rule, read from and written to ``self.arch``.
+class _Learned(FlatParams):
+    """The flat-parameter interface of a learned rule, over the parameter vector of ``self.arch``.
 
     Its rollout runs with the nets' weights frozen into contiguous copies,
     which the parameters cannot outlive: they do not change during a
-    rollout, and the copies are dropped when it ends.
+    rollout, and the copies are dropped when it ends.  Each rule defines
+    ``step``, ``step_with_tape`` and ``step_backward`` in its own class,
+    where the benchmark's tracer wraps them.
     """
 
     def rollout(self, instances, x0, k: int, step_seconds=None) -> np.ndarray:
@@ -516,14 +421,8 @@ class _Learned:
             return super().rollout(instances, x0, k, step_seconds)
 
     @property
-    def num_params(self) -> int:
-        return self.arch.num_params
-
-    def get_flat(self) -> np.ndarray:
-        return self.arch.get_flat()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.arch.set_flat(flat)
+    def params(self) -> np.ndarray:
+        return self.arch.params
 
 
 class QuadLearnedAlgo(_Learned, _Quadratic):
@@ -535,14 +434,40 @@ class QuadLearnedAlgo(_Learned, _Quadratic):
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedQuadArch.init(rng)
 
+    def _step(self, state: AlgoState, inst, taped: bool):
+        """One learned step on one instance, or on the rows of a ``QuadraticBatch``.
+
+        The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
+        norm rows.  Returns the next state and, when ``taped``, the
+        architecture's step tape, refilled by this step (else None).
+        """
+        arch = self.arch
+        n = state.x_curr.shape[-1]
+        x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
+        t = arch.buffers(len(x), n, taped)
+        _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev)
+        x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
+        return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if taped else None)
+
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return quad_step_forward(self.arch, state, inst, tape=False)[0]
+        return self._step(state, inst, False)[0]
 
     def step_with_tape(self, state: AlgoState, inst):
-        return quad_step_forward(self.arch, state, inst)
+        return self._step(state, inst, True)
 
-    def step_backward(self, tape, out_grad: np.ndarray) -> np.ndarray:
-        return quad_step_backward(self.arch, tape, out_grad)
+    def step_backward(self, tape: _StepBuffers, out_grad: np.ndarray) -> np.ndarray:
+        """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
+
+        Each net writes its weight gradients into its slice of ``arch.grads``;
+        the result is a copy of that vector.
+        """
+        arch = self.arch
+        out_grad = out_grad.reshape(tape.direction.shape)
+        g_s = row_dot(tape.direction, out_grad)
+        g_d = tape.step_size[:, None] * out_grad
+        arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1), input_grad=False)
+        arch.step_net.backward(tape.step_tape, g_s[:, None], input_grad=False)
+        return arch.grads.copy()
 
     def loss_grad(self, x: np.ndarray, inst) -> np.ndarray:
         return grad_quadratic(x, inst)
@@ -558,14 +483,76 @@ class LassoLearnedAlgo(_Learned, _Lasso):
     def reinit(self, rng: np.random.Generator) -> None:
         self.arch = LearnedLassoArch.init(rng, prox_tau=1.0 / self.ctx.lipschitz)
 
+    def _step(self, state: AlgoState, inst, taped: bool):
+        """One learned step on one instance, or on the rows of a ``LassoBatch``.
+
+        The direction and sparsity nets see (B*n, c) coordinate rows and the
+        step net (B, 3) norm rows.  Returns the next state and, when
+        ``taped``, the architecture's step tape, refilled by this step (else
+        None).
+        """
+        arch = self.arch
+        n = state.x_curr.shape[-1]
+        x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
+        t = arch.buffers(len(x), n, taped)
+        t.reg = reg = reg_column(inst)
+        _preprocess_into(reg * np.sign(x), t.channels[3], t.norms[:, 2])
+        _direction_and_step(arch, t, subgrad_lasso(x, inst, self.ctx), x, x_prev)
+        x_tilde = np.multiply(t.step_size[:, None], t.direction, out=t.x_tilde)
+        np.add(x, x_tilde, out=x_tilde)
+        t.sp_in[1] = x
+        t.sp_in[2] = t.channels[3]
+        z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(x.shape), out=t.z)
+        np.multiply(z, x_tilde, out=t.gated)
+        t.thresh = arch.prox_tau * reg
+        y = soft_threshold(t.gated, t.thresh, out=t.y)
+        ny = np.sqrt(row_dot(y, y))
+        # rescale so the prox does not change the norm; a zero row stays put
+        scale = np.divide(np.sqrt(row_dot(x_tilde, x_tilde)), ny, out=np.ones_like(ny), where=ny > 0)
+        x_next = (y * scale[:, None]).reshape(state.x_curr.shape)
+        return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if taped else None)
+
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return lasso_step_forward(self.arch, state, inst, self.ctx, tape=False)[0]
+        return self._step(state, inst, False)[0]
 
     def step_with_tape(self, state: AlgoState, inst):
-        return lasso_step_forward(self.arch, state, inst, self.ctx)
+        return self._step(state, inst, True)
 
-    def step_backward(self, tape, out_grad: np.ndarray) -> np.ndarray:
-        return lasso_step_backward(self.arch, tape, out_grad)
+    def step_backward(self, tape: _LassoStepBuffers, out_grad: np.ndarray) -> np.ndarray:
+        """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
+
+        Each net writes its weight gradients into its slice of ``arch.grads``,
+        whose last entry takes the ``prox_tau`` term; the result is a copy of
+        that vector.
+        """
+        arch = self.arch
+        y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
+        thresh, reg = tape.thresh.item(), tape.reg.item()
+        ny = math.sqrt(y @ y)
+        nxt = math.sqrt(x_tilde @ x_tilde)
+        g_norm = None  # the gradient through the rescaling's numerator ||x_tilde||
+        if ny > 0:
+            u = y / ny
+            uo = float(u @ out_grad)
+            g_y = (nxt / ny) * (out_grad - u * uo)
+            if nxt > 0:
+                g_norm = uo * (x_tilde / nxt)
+        else:
+            g_y = np.asarray(out_grad, dtype=float)
+        active = np.abs(gated) > thresh
+        g_gated = g_y * active
+        g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
+        g_z = g_gated * x_tilde
+        g_a = g_z * z * (1.0 - z)
+        g_sp_in, _ = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
+        g_xt = g_gated * z if g_norm is None else g_norm + g_gated * z
+        g_xt = g_xt + g_sp_in[:, 0]
+        g_s = float(tape.direction[0] @ g_xt)
+        g_d = tape.step_size[0] * g_xt
+        arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
+        arch.step_net.backward(tape.step_tape, np.array([g_s]), input_grad=False)
+        arch.grads[-1] = g_prox_tau
+        return arch.grads.copy()
 
     def loss_grad(self, x: np.ndarray, inst) -> np.ndarray:
         return subgrad_lasso(x, inst, self.ctx)

@@ -97,6 +97,12 @@ class PacConfig:
     grid_size: int = 2_000
     eps_pac: float = 0.05
 
+    def __post_init__(self):
+        if not (0 < self.lambda_min <= self.lambda_max and self.grid_size >= 1 and 0 < self.eps_pac < 1):
+            raise ValueError(
+                f"pac: need 0 < lambda_min <= lambda_max, grid_size >= 1 and 0 < eps_pac < 1, got {self}"
+            )
+
     def lambda_grid(self) -> np.ndarray:
         return np.logspace(
             np.log10(self.lambda_min), np.log10(self.lambda_max), self.grid_size

@@ -23,7 +23,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -105,6 +105,8 @@ class ExperimentConfig:
         self.L_range = tuple(self.L_range)
         self.reg_range = tuple(self.reg_range)
         self.sizes = tuple(self.sizes)
+        if len(self.sizes) != 4 or min(self.sizes) < 1:
+            raise ValueError(f"sizes: need four positive split sizes, got {self.sizes}")
         # build every section once, so that an unknown key or a bad value is
         # refused before a stage runs
         for section in (self.sublevel_spec, self.stage_config, self.locate_config,
@@ -112,12 +114,8 @@ class ExperimentConfig:
             section()
 
     @classmethod
-    def from_json(cls, source) -> "ExperimentConfig":
-        if isinstance(source, (str, Path)):
-            obj = json.loads(Path(source).read_text())
-        else:
-            obj = dict(source)
-        return cls(**obj)
+    def from_json(cls, path) -> "ExperimentConfig":
+        return cls(**json.loads(Path(path).read_text()))
 
     def sublevel_spec(self) -> SublevelSpec:
         return SublevelSpec(**self.sublevel)
@@ -135,7 +133,7 @@ class ExperimentConfig:
         return PacConfig(**self.pac)
 
     def hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=list)
+        payload = json.dumps(vars(self), sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

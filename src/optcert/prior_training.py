@@ -45,13 +45,9 @@ class TrajectoryScheduler:
         if not (1 <= self.segment_len <= self.target_len):
             raise ValueError("need 1 <= s <= n")
 
-    @property
-    def restart_prob(self) -> float:
-        return self.segment_len / self.target_len
-
     def next(self, final_state, rng: np.random.Generator) -> tuple[object, bool]:
         """Returns (state to continue from, whether a restart happened)."""
-        if rng.random() < self.restart_prob:
+        if rng.random() < self.segment_len / self.target_len:
             return None, True
         return final_state, False
 
@@ -93,6 +89,8 @@ class StageConfig:
 
     def __post_init__(self):
         _check_segment_len("init", self.segment_len, self.target_len)
+        if self.decay_every < 1:
+            raise ValueError(f"init: need decay_every >= 1, got {self.decay_every}")
 
 
 def _finite_sq_norm(grad: np.ndarray) -> float | None:
@@ -251,6 +249,10 @@ class LocateConfig:
 
     def __post_init__(self):
         _check_segment_len("locate", self.segment_len, self.target_len)
+        if min(self.check_every, self.decay_every) < 1:
+            raise ValueError(
+                f"locate: need check_every, decay_every >= 1, got {self.check_every} and {self.decay_every}"
+            )
 
 
 def _median_loss(losses: np.ndarray) -> float:

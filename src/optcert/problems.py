@@ -61,10 +61,6 @@ class QuadraticInstance:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
 
 @dataclass(frozen=True)
 class LassoInstance:
@@ -91,10 +87,6 @@ class LassoClassContext:
 
     design: np.ndarray
     lipschitz: float
-
-    @property
-    def dim(self) -> int:
-        return self.design.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,10 +127,6 @@ class DatasetSplit:
     train: list
     val: list
     test: list
-
-    @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        return (len(self.prior), len(self.train), len(self.val), len(self.test))
 
 
 def row_dot(u: np.ndarray, v: np.ndarray):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import asdict
@@ -39,8 +40,8 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-# config sections with a misspelt key, a value out of range, or a knob that
-# no longer exists; each is refused before anything runs
+# config sections (and split sizes) with a misspelt key, a value out of
+# range, or a knob that no longer exists; each is refused before anything runs
 BAD_SECTIONS = [
     ("sgld", {"n_sample": 3, "thinning": 1, "run_length": 10, "target_len": 10}),
     ("sublevel", {"p_l": 2.0}),
@@ -51,6 +52,16 @@ BAD_SECTIONS = [
     ("locate", {"n_max": 600, "segment_len": 51}),
     ("init", {"clip_norm": 2.0}),
     ("locate", {"clip_norm": 0.5}),
+    ("pac", {"grid_size": 200, "eps_pac": 1.5}),
+    ("pac", {"grid_size": 200, "eps_pac": 0.0}),
+    ("pac", {"grid_size": 0}),
+    ("pac", {"grid_size": 200, "lambda_min": -1.0}),
+    ("pac", {"grid_size": 200, "lambda_min": 10.0, "lambda_max": 1.0}),
+    ("locate", {"n_max": 600, "check_every": 0}),
+    ("locate", {"n_max": 600, "decay_every": 0}),
+    ("init", {"decay_every": 0}),
+    ("sizes", (50, 50, 50)),
+    ("sizes", (10, 10, 0, 10)),
 ]
 
 
@@ -60,10 +71,6 @@ class TestExperimentConfig:
         p.write_text(json.dumps({"problem": "lasso", "dim": 8, "design_rows": 5}))
         cfg = ExperimentConfig.from_json(p)
         assert cfg.problem == "lasso" and cfg.dim == 8
-
-    def test_from_dict(self):
-        cfg = ExperimentConfig.from_json({"seed": 42})
-        assert cfg.seed == 42
 
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
@@ -84,6 +91,13 @@ class TestExperimentConfig:
         assert a.hash() == b.hash()
         assert a.hash() != tiny_config(seed=4).hash()
         assert len(a.hash()) == 16
+
+    def test_hash_is_that_of_the_deep_copied_fields(self):
+        # sections holding tuples and lists, next to the tuple-valued ranges
+        cfg = tiny_config(sizes=[10, 10, 10, 10], locate={"n_max": 600, "check_every": 200})
+        cfg.sublevel = {"band": (0.9, 1.0), "nested": {"pair": [(1, 2), (3, 4)]}}
+        payload = json.dumps(asdict(cfg), sort_keys=True, default=list)
+        assert cfg.hash() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 class TestEvaluationReport:

@@ -181,7 +181,7 @@ class TestSplit:
     def test_disjoint_pairs(self):
         insts = gen_quadratics(8, 3, (1, 1), (2, 2), 0)
         sp = split_dataset(insts, (2, 2, 2, 2))
-        assert sp.sizes == (2, 2, 2, 2)
+        assert [len(part) for part in (sp.prior, sp.train, sp.val, sp.test)] == [2, 2, 2, 2]
         all_parts = sp.prior + sp.train + sp.val + sp.test
         assert len(all_parts) == 8
         assert all(a is b for a, b in zip(all_parts, insts))
