@@ -9,8 +9,10 @@ experiments resume where they stopped.
 Each stage draws from its own random stream, keyed by the config's seed and
 the stage, so a resumed run writes the same artifacts as a straight one.
 Every artifact records the config's hash as ``config_hash``; a reused one
-without that hash (written by another config, or before artifacts carried
-it) raises StaleArtifactError, a StageError: exit 3 on the command line.
+without that hash (written by another config, before artifacts carried it,
+or in an older artifact format) raises StaleArtifactError, a StageError:
+exit 3 on the command line.  The learned parameter vectors are stored
+exactly, as the base64 of their little-endian float64 bytes.
 A resume in which no stage computes reads only the last bytes of an
 artifact whose record it neither checks nor returns, where the stamp sits;
 the body of such an artifact is parsed and checked only when a later call
@@ -19,10 +21,15 @@ loads it.
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -81,6 +88,10 @@ class StaleArtifactError(StageError):
     """A reused artifact does not carry the running config's hash."""
 
 
+# 2: parameter vectors as base64 of little-endian float64 bytes (1: decimal lists)
+ARTIFACT_FORMAT = 2
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "quadratic"
@@ -107,6 +118,8 @@ class ExperimentConfig:
         self.sizes = tuple(self.sizes)
         if len(self.sizes) != 4 or min(self.sizes) < 1:
             raise ValueError(f"sizes: need four positive split sizes, got {self.sizes}")
+        if min(self.dim, self.n_train) < 1:
+            raise ValueError(f"need dim, n_train >= 1, got dim={self.dim} and n_train={self.n_train}")
         # build every section once, so that an unknown key or a bad value is
         # refused before a stage runs
         for section in (self.sublevel_spec, self.stage_config, self.locate_config,
@@ -133,7 +146,8 @@ class ExperimentConfig:
         return PacConfig(**self.pac)
 
     def hash(self) -> str:
-        payload = json.dumps(vars(self), sort_keys=True, default=list)
+        # the artifact format is hashed too, so a directory of another format is stale
+        payload = json.dumps({**vars(self), "artifact_format": ARTIFACT_FORMAT}, sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -195,6 +209,18 @@ def _dump_json(path: Path, obj) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _vector(a) -> dict:
+    """A float vector as the base64 of its little-endian float64 bytes: exact and compact."""
+    return {"dtype": "<f8", "base64": base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")}
+
+
+def _from_vector(obj: dict) -> np.ndarray:
+    """The read-only float vector that ``_vector`` encoded; corrupt base64 raises ValueError."""
+    if obj.get("dtype") != "<f8":
+        raise StageError(f"a stored vector has dtype {obj.get('dtype')!r}, not '<f8'")
+    return np.frombuffer(base64.b64decode(obj["base64"], validate=True), dtype="<f8")
 
 
 def _ends_with_stamp(path: Path, stamp: str) -> bool:
@@ -356,12 +382,12 @@ def _stage_init(run):
     res = find_initialization(
         run.learned, run.baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
     )
-    return {"alpha": res.alpha.tolist(), "converged": bool(res.converged)}
+    return {"alpha": _vector(res.alpha), "converged": bool(res.converged)}
 
 
 def _load_init(run, record):
     _build_algos(run)
-    run.learned.set_flat(record["alpha"])
+    run.learned.set_flat(_from_vector(record["alpha"]))
 
 
 def _stage_locate(run):
@@ -370,7 +396,7 @@ def _stage_locate(run):
         run.cfg.locate_config(), run.rng,
     )
     return {
-        "alpha": loc.alpha.tolist(),
+        "alpha": _vector(loc.alpha),
         "found": bool(loc.constraint_found),
         "estimate": loc.estimate,
     }
@@ -382,7 +408,7 @@ def _check_locate(record):
 
 
 def _load_locate(run, record):
-    run.learned.set_flat(record["alpha"])
+    run.learned.set_flat(_from_vector(record["alpha"]))
 
 
 def _stage_sample(run):
@@ -413,12 +439,12 @@ def _stage_certify(run):
     return cert.to_dict(
         kept_indices=kept.tolist(),
         p_hats=p_hats.tolist(),
-        point_alpha=point_alpha.tolist(),
+        point_alpha=_vector(point_alpha),
     )
 
 
 def _load_certificate(run, record):
-    run.learned.set_flat(record["point_alpha"])
+    run.learned.set_flat(_from_vector(record["point_alpha"]))
     run.bound = record["bound"]
 
 
@@ -464,6 +490,45 @@ _STAGES = (
 STAGE_ORDER = tuple(stage.name for stage in _STAGES)
 
 
+@functools.cache
+def _blas_threads():
+    """The (set, get) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy's wheels ship the library as ``numpy.libs/libscipy_openblas64_-<hash>.so``
+    beside the package; under another BLAS build a warning is recorded once.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_-*.so"):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    warnings.warn("numpy's bundled OpenBLAS was not found, so the BLAS thread count is left as it "
+                  "is; certificates may then differ between thread counts", RuntimeWarning)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one BLAS thread, then restore the count it found.
+
+    A multi-threaded product may sum in another order, so without this a
+    certificate would depend on the thread count, which no stamp records.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
     """Run the stages in order, stopping after ``until`` when given.
 
@@ -493,21 +558,22 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     on_disk = [(out_dir / f"{stage.name}.json").exists() for stage in stages]
     computes = not all(on_disk)
     try:
-        for stage, seed, reused in zip(stages, seeds, on_disk):
-            # a resume that computes nothing needs only the stamp of a record it
-            # neither checks nor returns; a file that ends otherwise is parsed
-            if (not computes and stage.check is None and stage is not stages[-1]
-                    and _ends_with_stamp(out_dir / f"{stage.name}.json", stamp)):
-                continue
-            run.rng = np.random.default_rng(seed)
-            record = run_stage(stage.name, out_dir, lambda: {**stage.compute(run), "config_hash": stamp})
-            if record.get("config_hash") != stamp:
-                raise StaleArtifactError(f"{out_dir / f'{stage.name}.json'} has config hash "
-                                         f"{record.get('config_hash')}, not this config's {stamp}")
-            if stage.check is not None:
-                stage.check(record)
-            if computes and reused:
-                stage.load(run, record)
+        with _one_blas_thread():
+            for stage, seed, reused in zip(stages, seeds, on_disk):
+                # a resume that computes nothing needs only the stamp of a record it
+                # neither checks nor returns; a file that ends otherwise is parsed
+                if (not computes and stage.check is None and stage is not stages[-1]
+                        and _ends_with_stamp(out_dir / f"{stage.name}.json", stamp)):
+                    continue
+                run.rng = np.random.default_rng(seed)
+                record = run_stage(stage.name, out_dir, lambda: {**stage.compute(run), "config_hash": stamp})
+                if record.get("config_hash") != stamp:
+                    raise StaleArtifactError(f"{out_dir / f'{stage.name}.json'} has config hash "
+                                             f"{record.get('config_hash')}, not this config's {stamp}")
+                if stage.check is not None:
+                    stage.check(record)
+                if computes and reused:
+                    stage.load(run, record)
     except (ConstraintNotFoundError, StageError):
         raise
     except Exception as exc:

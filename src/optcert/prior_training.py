@@ -74,6 +74,13 @@ def _check_segment_len(section: str, segment_len: int, target_len: int) -> None:
         )
 
 
+def _check_counts(section: str, **counts: int) -> None:
+    """Refuse a count below 1, naming the config ``section`` and every such count."""
+    low = [f"{name}={value}" for name, value in counts.items() if value < 1]
+    if low:
+        raise ValueError(f"{section}: need {', '.join(counts)} >= 1, got {' and '.join(low)}")
+
+
 @dataclass
 class StageConfig:
     """Knobs of the imitation initialization (stage 1)."""
@@ -89,8 +96,7 @@ class StageConfig:
 
     def __post_init__(self):
         _check_segment_len("init", self.segment_len, self.target_len)
-        if self.decay_every < 1:
-            raise ValueError(f"init: need decay_every >= 1, got {self.decay_every}")
+        _check_counts("init", decay_every=self.decay_every, n_init=self.n_init)
 
 
 def _finite_sq_norm(grad: np.ndarray) -> float | None:
@@ -249,10 +255,8 @@ class LocateConfig:
 
     def __post_init__(self):
         _check_segment_len("locate", self.segment_len, self.target_len)
-        if min(self.check_every, self.decay_every) < 1:
-            raise ValueError(
-                f"locate: need check_every, decay_every >= 1, got {self.check_every} and {self.decay_every}"
-            )
+        _check_counts("locate", check_every=self.check_every, decay_every=self.decay_every,
+                      run_length=self.run_length, score_instances=self.score_instances)
 
 
 def _median_loss(losses: np.ndarray) -> float:

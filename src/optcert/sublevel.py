@@ -67,6 +67,8 @@ class SublevelSpec:
             raise ValueError("width_tol must be positive")
         if self.g_scale <= 0 or self.g_exponent < 0:
             raise ValueError("need g_scale > 0 and g_exponent >= 0")
+        if self.max_draws < 1:
+            raise ValueError("max_draws must be at least 1")
 
     def admits(self, res: EstimateResult) -> bool:
         """Whether an estimate is conclusive and its point estimate lies in [p_l, p_u]."""

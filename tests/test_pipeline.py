@@ -40,8 +40,9 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-# config sections (and split sizes) with a misspelt key, a value out of
-# range, or a knob that no longer exists; each is refused before anything runs
+# config sections (and top-level sizes and counts) with a misspelt key, a
+# value out of range, or a knob that no longer exists; each is refused before
+# anything runs
 BAD_SECTIONS = [
     ("sgld", {"n_sample": 3, "thinning": 1, "run_length": 10, "target_len": 10}),
     ("sublevel", {"p_l": 2.0}),
@@ -62,6 +63,16 @@ BAD_SECTIONS = [
     ("init", {"decay_every": 0}),
     ("sizes", (50, 50, 50)),
     ("sizes", (10, 10, 0, 10)),
+    # counts of zero, which ran to a report, failed late or left a stage degenerate
+    ("sgld", {"n_samples": 0}),
+    ("sgld", {"thinning": 0}),
+    ("sgld", {"run_length": 0}),
+    ("locate", {"n_max": 600, "run_length": 0}),
+    ("locate", {"n_max": 600, "score_instances": 0}),
+    ("init", {"n_init": 0}),
+    ("sublevel", {"max_draws": 0}),
+    ("dim", 0),
+    ("n_train", 0),
 ]
 
 
@@ -96,7 +107,7 @@ class TestExperimentConfig:
         # sections holding tuples and lists, next to the tuple-valued ranges
         cfg = tiny_config(sizes=[10, 10, 10, 10], locate={"n_max": 600, "check_every": 200})
         cfg.sublevel = {"band": (0.9, 1.0), "nested": {"pair": [(1, 2), (3, 4)]}}
-        payload = json.dumps(asdict(cfg), sort_keys=True, default=list)
+        payload = json.dumps({**asdict(cfg), "artifact_format": 2}, sort_keys=True, default=list)
         assert cfg.hash() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -492,6 +503,122 @@ class TestArtifactEncoding:
         for name in ("data", "init", "prior_location", "samples"):
             text = (tmp_path / f"{name}.json").read_text()
             assert text == json.dumps(json.loads(text))
+
+
+def _old_format_hash(cfg) -> str:
+    """The stamp of a config before the artifact format was hashed with it."""
+    return hashlib.sha256(json.dumps(vars(cfg), sort_keys=True, default=list).encode()).hexdigest()[:16]
+
+
+class TestVectorEncoding:
+    """Parameter vectors are stored as the base64 of their little-endian float64 bytes."""
+
+    @pytest.mark.parametrize("vector", [
+        np.array([-0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.pi]),
+        np.random.default_rng(0).normal(scale=1e3, size=25_409),
+        np.array([]),
+    ], ids=["edges", "lasso_sized", "empty"])
+    def test_round_trip_is_bit_exact(self, vector):
+        stored = json.loads(json.dumps(pipeline._vector(vector)))
+        assert stored["dtype"] == "<f8"
+        assert pipeline._from_vector(stored).tobytes() == vector.astype("<f8").tobytes()
+
+    def test_other_dtype_is_refused(self):
+        stored = {"dtype": "<f4", "base64": pipeline._vector(np.ones(4))["base64"]}
+        with pytest.raises(StageError, match="<f4"):
+            pipeline._from_vector(stored)
+
+    @pytest.fixture(params=["truncated", "truncated_by_whole_floats", "not_base64", "float32"])
+    def corrupt_init(self, request, completed_run, tmp_path):
+        """A directory up to init whose stored ``alpha`` cannot be loaded; its stamp is intact."""
+        out, _ = completed_run
+        for stage in ("data", "init"):
+            shutil.copy(out / f"{stage}.json", tmp_path)
+        path = tmp_path / "init.json"
+        record = json.loads(path.read_text())
+        text = record["alpha"]["base64"]
+        record["alpha"] = {
+            "truncated": {"dtype": "<f8", "base64": text[:-8]},  # six bytes short
+            "truncated_by_whole_floats": {"dtype": "<f8", "base64": text[:-32]},
+            "not_base64": {"dtype": "<f8", "base64": "!" + text[1:]},
+            "float32": {"dtype": "<f4", "base64": text},
+        }[request.param]
+        path.write_text(json.dumps(record))
+        return tmp_path
+
+    def test_computing_resume_refuses_a_corrupt_vector(self, corrupt_init):
+        with pytest.raises(StageError):
+            run_pipeline(tiny_config(), corrupt_init, until="prior_location")
+        assert not (corrupt_init / "prior_location.json").exists()
+
+    def test_locate_prior_command_exits_three(self, corrupt_init):
+        cfg_path = corrupt_init / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(tiny_config())))
+        res = CliRunner().invoke(main, ["locate-prior", "--config", str(cfg_path), "--out", str(corrupt_init)])
+        assert res.exit_code == 3, res.output
+        assert "stage failed" in res.output
+
+    def test_old_format_directory_is_stale(self, completed_run, tmp_path):
+        out, _ = completed_run
+        cfg = tiny_config()
+        old = _old_format_hash(cfg)
+        for stage in STAGE_ORDER:
+            record = json.loads((out / f"{stage}.json").read_text())
+            for key, value in record.items():
+                if isinstance(value, dict) and "base64" in value:
+                    record[key] = pipeline._from_vector(value).tolist()
+            record["config_hash"] = old
+            (tmp_path / f"{stage}.json").write_text(json.dumps(record))
+        with pytest.raises(StaleArtifactError) as info:
+            run_pipeline(cfg, tmp_path, until="report")
+        assert old != cfg.hash()
+        assert old in str(info.value) and cfg.hash() in str(info.value)
+
+    def test_cli_summary_prints_no_vector(self, completed_run, tmp_path):
+        out, _ = completed_run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(asdict(tiny_config())))
+        res = CliRunner().invoke(main, ["locate-prior", "--config", str(cfg_path), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "base64" not in res.output
+        assert set(json.loads(res.output.strip().splitlines()[-1])) == {"found", "estimate", "config_hash"}
+
+
+class TestBlasThreads:
+    """A run uses one BLAS thread, whatever count the caller set, and restores that count."""
+
+    def test_two_thread_caller_gets_the_one_thread_bytes(self, completed_run, tmp_path, monkeypatch):
+        blas = pipeline._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loadable here")
+        set_threads, get_threads = blas
+        during, certify_stage = [], pipeline._stage_certify
+
+        def recording(run):
+            during.append(get_threads())
+            return certify_stage(run)
+
+        monkeypatch.setattr(pipeline, "_stage_certify", recording)
+        before = get_threads()
+        set_threads(2)
+        try:
+            run_pipeline(tiny_config(), tmp_path, until="report")
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert during == [1] and after == 2
+        out, _ = completed_run
+        for stage in STAGE_ORDER:
+            name = f"{stage}.json"
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_without_the_library_a_warning_is_recorded(self, monkeypatch):
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", unloadable)
+        with pytest.warns(RuntimeWarning, match="thread count is left as it is"):
+            assert pipeline._blas_threads.__wrapped__() is None
 
 
 class TestInfeasibleSupport:
