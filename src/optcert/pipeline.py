@@ -52,6 +52,7 @@ from .pac import PacConfig, SufficientStats, build_prior, build_stats, certify
 from .prior_training import (
     LocateConfig,
     StageConfig,
+    _check_counts,
     find_initialization,
     locate_prior,
 )
@@ -118,8 +119,7 @@ class ExperimentConfig:
         self.sizes = tuple(self.sizes)
         if len(self.sizes) != 4 or min(self.sizes) < 1:
             raise ValueError(f"sizes: need four positive split sizes, got {self.sizes}")
-        if min(self.dim, self.n_train) < 1:
-            raise ValueError(f"need dim, n_train >= 1, got dim={self.dim} and n_train={self.n_train}")
+        _check_counts("config", dim=self.dim, n_train=self.n_train)
         # build every section once, so that an unknown key or a bad value is
         # refused before a stage runs
         for section in (self.sublevel_spec, self.stage_config, self.locate_config,
@@ -540,6 +540,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     every other artifact is verified by the stamp in its last bytes, or
     parsed and checked when they do not match.  The body of an artifact
     verified by its stamp is checked only when a later call loads it.
+    The stages run on one BLAS thread, and the caller's count is restored.
     Raises ConstraintNotFoundError when no feasible region exists,
     StaleArtifactError when a reused artifact lacks the config's hash, and
     StageError for other failures.
