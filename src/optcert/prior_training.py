@@ -260,8 +260,15 @@ class LocateConfig:
 
 
 def _median_loss(losses: np.ndarray) -> float:
-    """Median of a loss vector with non-finite entries read as inf."""
-    return float(np.median(np.where(np.isfinite(losses), losses, np.inf)))
+    """Median of a loss vector with non-finite entries read as inf.
+
+    The bytes of ``np.median``, which would import ``numpy.ma`` (1.3 MB) for
+    a check that a plain array does not need: the middle entry, or the mean
+    of the middle two.
+    """
+    n = len(losses)
+    mid = np.partition(np.where(np.isfinite(losses), losses, np.inf), [(n - 1) // 2, n // 2])
+    return float(mid[n // 2] if n % 2 else (mid[n // 2 - 1] + mid[n // 2]) / 2)
 
 
 def _median_final_loss(algo, instances, x0, k: int) -> float:
