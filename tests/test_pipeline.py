@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -123,6 +126,20 @@ class TestEvaluationReport:
         got = self._report(losses).percentiles()
         for key, q in (("p10", 10), ("p50", 50), ("p90", 90)):
             assert got[key].tobytes() == np.nanpercentile(losses, q, axis=0).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")  # the NaN column's mean
+    @pytest.mark.parametrize("shape", [(50, 51), (1, 4), (2, 4), (7, 3)])
+    def test_percentiles_have_the_bytes_of_numpy_with_non_finite_entries(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        losses = rng.lognormal(sigma=10.0, size=shape)
+        losses[rng.random(shape) < 0.3] = np.inf
+        losses[:, 1] = np.nan  # a column without a finite entry
+        finite = np.where(np.isfinite(losses), losses, np.nan)
+        with pytest.warns(RuntimeWarning):  # numpy's all-NaN slice
+            want = np.nanpercentile(finite, (10, 50, 90), axis=0)
+        got = self._report(losses).percentiles()
+        for i, key in enumerate(("p10", "p50", "p90")):
+            assert got[key].tobytes() == want[i].tobytes(), key
 
     def test_non_finite_entries_are_excluded(self):
         losses = np.random.default_rng(1).lognormal(size=(20, 6))
@@ -673,6 +690,19 @@ class TestValidationHandOff:
         assert from_artifact is None
         straight_cert = (tmp_path / "straight" / "certificate.json").read_bytes()
         assert straight_cert == (out / "certificate.json").read_bytes()
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    """numpy's median and quantile code would import ``numpy.ma`` (about 1.3 MB) for nothing."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(tiny_config())))
+    code = ("import sys; from optcert.pipeline import ExperimentConfig, run_pipeline; "
+            f"run_pipeline(ExperimentConfig.from_json({str(cfg_path)!r}), {str(tmp_path / 'o')!r}); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["False"]
 
 
 class TestDataStage:

@@ -324,6 +324,16 @@ class TestLocatePrior:
 class TestLocateScore:
     """A feasible checkpoint's score is read off the constraint check's rollout."""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # two middle entries of 1e308
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 51])
+    def test_median_loss_has_the_bytes_of_np_median(self, n):
+        losses = np.random.default_rng(n).lognormal(sigma=20.0, size=n)
+        losses[3::4] = np.inf
+        losses[1::5] = np.nan
+        losses[2::7] = 1e308
+        want = np.median(np.where(np.isfinite(losses), losses, np.inf))
+        assert np.float64(prior_training._median_loss(losses)).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("target_len", [20, 13])
     def test_score_from_check_matrix_equals_separate_rollout(self, target_len):
         algo, insts, x0 = _quad_setup(seed=9, count=20, dim=4)
