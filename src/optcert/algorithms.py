@@ -13,8 +13,7 @@ one instance, or (B, n) iterates with B instances stacked by
 ``QuadraticBatch``/``LassoBatch``, and the single-instance step is the
 B = 1 case with the same bits.  ``rollout`` runs k steps over a list of
 instances and returns the (B, k+1) loss matrix that the estimators, risks,
-scores and reports reduce over; a learned rule's rollout runs inside
-``frozen_weights`` of its nets and reuses one set of step buffers.
+scores and reports reduce over.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class _StepBuffers:
         self.direction = self.step_size = None  # set by each step
 
 
-class _LearnedArch(FlatParams):
+class _LearnedArch:
     """The nets of a learned rule, packed into one parameter and one gradient vector, and its step buffers.
 
     ``params`` and ``grads`` hold the weights of ``nets`` in order, then

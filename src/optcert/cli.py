@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -28,12 +29,11 @@ EXIT_STAGE = 3
 def _load_config(config, seed):
     try:
         cfg = ExperimentConfig.from_json(config) if config else ExperimentConfig()
+        # ``replace`` builds a new config, so the override is checked as well
+        return cfg if seed is None else replace(cfg, seed=seed)
     except (TypeError, ValueError) as exc:
         click.echo(f"invalid config: {exc}", err=True)
         sys.exit(EXIT_STAGE)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
 
 
 def _run(config, seed, out, until):

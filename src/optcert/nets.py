@@ -6,9 +6,8 @@ Adam optimizer written in plain NumPy.
 
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
-just a batch over coordinates.  Inside a ``frozen_weights`` block, untaped
-passes over two or more rows multiply by C-contiguous copies of the ``W.T``
-instead and write the hidden layers into two reused buffers.
+just a batch over coordinates (see ``frozen_weights`` for the untaped
+passes over contiguous weight copies).
 
 A model's parameters live in one contiguous vector, ``params``, and each
 weight matrix is a reshaped view into it; the gradients of the last
@@ -246,6 +245,9 @@ def pack_params(nets: list, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return params, grads
 
 
+BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator epsilon
+
+
 @dataclass
 class AdamState:
     """Moment estimates and counters of the standard bias-corrected update.
@@ -258,14 +260,11 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     scratch: tuple = field(default=(), repr=False)
 
     @classmethod
-    def zeros(cls, dim: int, lr: float = 1e-3, **kwargs) -> "AdamState":
-        return cls(first_moment=np.zeros(dim), second_moment=np.zeros(dim), lr=lr, **kwargs)
+    def zeros(cls, dim: int, lr: float = 1e-3) -> "AdamState":
+        return cls(first_moment=np.zeros(dim), second_moment=np.zeros(dim), lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -285,25 +284,25 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[
     t = state.step_count
     m, v = state.first_moment, state.second_moment
     # m = beta1 * m + (1 - beta1) * g
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(grads, 1 - state.beta1, out=s1)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(grads, 1 - BETA1, out=s1)
     np.add(m, s1, out=m)
     # v = beta2 * v + (1 - beta2) * g**2
-    np.multiply(v, state.beta2, out=v)
+    np.multiply(v, BETA2, out=v)
     np.square(grads, out=s1)
-    np.multiply(s1, 1 - state.beta2, out=s1)
+    np.multiply(s1, 1 - BETA2, out=s1)
     np.add(v, s1, out=v)
     # params -= lr * m_hat / (sqrt(v_hat) + eps); once the bias correction
-    # 1 - beta1**t rounds to 1.0 (t >= 350 at beta1 = 0.9), m_hat is m
-    correction = 1 - state.beta1**t
+    # 1 - beta1**t rounds to 1.0 (t >= 350), m_hat is m
+    correction = 1 - BETA1**t
     if correction == 1.0:
         np.multiply(m, state.lr, out=s1)
     else:
         np.divide(m, correction, out=s1)
         np.multiply(s1, state.lr, out=s1)
-    np.divide(v, 1 - state.beta2**t, out=s2)
+    np.divide(v, 1 - BETA2**t, out=s2)
     np.sqrt(s2, out=s2)
-    np.add(s2, state.eps_hat, out=s2)
+    np.add(s2, EPS_HAT, out=s2)
     np.divide(s1, s2, out=s1)
     np.subtract(params, s1, out=params)
     return params, state

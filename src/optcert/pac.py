@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import rollout
+from .problems import _is_int
 from .sublevel import SublevelSpec, estimate_from_rollout, sublevel_hits, sublevel_threshold
 
 __all__ = [
@@ -98,10 +99,10 @@ class PacConfig:
     eps_pac: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.lambda_min <= self.lambda_max and self.grid_size >= 1 and 0 < self.eps_pac < 1):
-            raise ValueError(
-                f"pac: need 0 < lambda_min <= lambda_max, grid_size >= 1 and 0 < eps_pac < 1, got {self}"
-            )
+        if not (0 < self.lambda_min <= self.lambda_max and _is_int(self.grid_size) and self.grid_size >= 1
+                and 0 < self.eps_pac < 1):
+            raise ValueError(f"pac: need 0 < lambda_min <= lambda_max, an integer grid_size >= 1 and "
+                             f"0 < eps_pac < 1, got {self}")
 
     def lambda_grid(self) -> np.ndarray:
         return np.logspace(

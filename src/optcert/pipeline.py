@@ -13,10 +13,6 @@ without that hash (written by another config, before artifacts carried it,
 or in an older artifact format) raises StaleArtifactError, a StageError:
 exit 3 on the command line.  The learned parameter vectors are stored
 exactly, as the base64 of their little-endian float64 bytes.
-A resume in which no stage computes reads only the last bytes of an
-artifact whose record it neither checks nor returns, where the stamp sits;
-the body of such an artifact is parsed and checked only when a later call
-loads it.
 """
 
 from __future__ import annotations
@@ -57,6 +53,9 @@ from .prior_training import (
     locate_prior,
 )
 from .problems import (
+    _check_lasso_ranges,
+    _check_quadratic_ranges,
+    _is_int,
     context_from_json,
     context_to_json,
     gen_lasso,
@@ -91,6 +90,8 @@ class StaleArtifactError(StageError):
 
 # 2: parameter vectors as base64 of little-endian float64 bytes (1: decimal lists)
 ARTIFACT_FORMAT = 2
+_PROBE_TRIES = 20  # draws of the learned rule's weights before the init stage gives up
+_TIMING_REPEATS = 3  # rollouts per algorithm whose step times the report takes the median of
 
 
 @dataclass
@@ -117,9 +118,16 @@ class ExperimentConfig:
         self.L_range = tuple(self.L_range)
         self.reg_range = tuple(self.reg_range)
         self.sizes = tuple(self.sizes)
-        if len(self.sizes) != 4 or min(self.sizes) < 1:
-            raise ValueError(f"sizes: need four positive split sizes, got {self.sizes}")
+        if len(self.sizes) != 4 or not all(_is_int(size) and size >= 1 for size in self.sizes):
+            raise ValueError(f"sizes: need four positive integer split sizes, got {self.sizes}")
         _check_counts("config", dim=self.dim, n_train=self.n_train)
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"config: need an integer seed >= 0, got seed={self.seed!r}")
+        # the ranges of the other problem kind are unused and go unchecked
+        if self.problem == "quadratic":
+            _check_quadratic_ranges(self.m_range, self.L_range)
+        else:
+            _check_lasso_ranges(self.dim, self.design_rows, self.reg_range)
         # build every section once, so that an unknown key or a bad value is
         # refused before a stage runs
         for section in (self.sublevel_spec, self.stage_config, self.locate_config,
@@ -151,14 +159,14 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _probe_arch(algo, instances, x0, rng, tries: int = 20):
+def _probe_arch(algo, instances, x0, rng):
     """Re-initialize the architecture until the hypergradient is nonzero.
 
     A freshly drawn step network can be entirely dead (every hidden unit
     off), which makes the one-step hypergradient identically zero and
     training impossible; redraw the weights in that case.
     """
-    for _ in range(tries):
+    for _ in range(_PROBE_TRIES):
         state = algo.init_state(x0)
         inst = instances[rng.integers(len(instances))]
         _, _, g, _ = ratio_step(algo, state, inst)
@@ -168,20 +176,17 @@ def _probe_arch(algo, instances, x0, rng, tries: int = 20):
     raise StageError("could not draw a trainable initialization")
 
 
-def _write_json(fh, obj) -> None:
-    """Write the bytes of ``json.dump(obj, fh)`` with the C encoder behind ``json.dumps``.
+def _write_json(fh, record: dict) -> None:
+    """Write the bytes of ``json.dump(record, fh)`` with the C encoder behind ``json.dumps``.
 
     ``json.dump`` streams through the pure-Python encoder.  Here each value
-    of a top-level dict is one ``json.dumps`` call, except that a list of
-    records (lists or dicts, such as the instances or the sampled points)
-    is written one record at a time, so no string of the whole document is
-    built.
+    of the record (a dict with str keys) is one ``json.dumps`` call, except
+    that a list of records (lists or dicts, such as the instances or the
+    sampled points) is written one at a time: no string of the whole
+    document is built, which keeps the peak memory of the LASSO artifacts down.
     """
-    if not (isinstance(obj, dict) and all(isinstance(key, str) for key in obj)):
-        fh.write(json.dumps(obj))
-        return
     fh.write("{")
-    for i, (key, value) in enumerate(obj.items()):
+    for i, (key, value) in enumerate(record.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
         if isinstance(value, (list, tuple)) and all(isinstance(item, (list, tuple, dict)) for item in value):
             fh.write("[")
@@ -193,18 +198,16 @@ def _write_json(fh, obj) -> None:
     fh.write("}")
 
 
-def _dump_json(path: Path, obj) -> None:
-    """Write ``obj`` atomically: a temporary file in the same directory, then a rename.
+def _dump_json(path: Path, record: dict) -> None:
+    """Write the stage ``record`` atomically: a temporary file in the same directory, then a rename.
 
     A failure or a kill part-way leaves no ``path`` behind, so the next run
-    recomputes the stage instead of reading a truncated artifact.  The JSON
-    is written piece by piece rather than built as one string first, which
-    keeps the peak memory of the multi-megabyte LASSO artifacts down.
+    recomputes the stage instead of reading a truncated artifact.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            _write_json(fh, obj)
+            _write_json(fh, record)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -282,17 +285,17 @@ def _column_percentiles(x: np.ndarray, qs) -> np.ndarray:
     return np.where(last >= 0, out, np.nan)
 
 
-def _run_losses(algo, instances, x0, k: int, repeats: int = 3):
+def _run_losses(algo, instances, x0, k: int):
     """Loss matrix plus cumulative per-iteration wall time.
 
     The time of iteration j is that of step j over the whole instance list
-    (one batched step for the package algorithms), median over ``repeats``
-    rollouts (the upper of the middle two when ``repeats`` is even).
+    (one batched step for the package algorithms), median over
+    ``_TIMING_REPEATS`` rollouts.
     """
-    times = np.zeros((repeats, k))
-    for r in range(repeats):
+    times = np.zeros((_TIMING_REPEATS, k))
+    for r in range(_TIMING_REPEATS):
         losses = rollout(algo, instances, x0, k, step_seconds=times[r])
-    return losses, np.cumsum(np.sort(times, axis=0)[repeats // 2])
+    return losses, np.cumsum(np.sort(times, axis=0)[_TIMING_REPEATS // 2])
 
 
 def evaluate(
@@ -492,13 +495,12 @@ class _Stage(NamedTuple):
     load: Callable
 
 
-# ``_stage_certify`` is looked up at call time, so that a test can replace it
 _STAGES = (
     _Stage("data", _stage_data, None, _load_data),
     _Stage("init", _stage_init, None, _load_init),
     _Stage("prior_location", _stage_locate, _check_locate, _load_locate),
     _Stage("samples", _stage_sample, None, _load_samples),
-    _Stage("certificate", lambda run: _stage_certify(run), None, _load_certificate),
+    _Stage("certificate", _stage_certify, None, _load_certificate),
     _Stage("report", _stage_report, None, lambda run, record: None),
 )
 STAGE_ORDER = tuple(stage.name for stage in _STAGES)
@@ -562,17 +564,17 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
     if until is not None and until not in STAGE_ORDER:
         raise ValueError(f"unknown stage: {until!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``
-    # and ``splits`` (data), ``learned`` and ``baseline`` (init), ``samples``,
-    # with validation matrices when sampled in this call, and ``bound``
-    run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(), x0=np.zeros(cfg.dim))
-    stamp = cfg.hash()
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
     stages = _STAGES[:STAGE_ORDER.index(until) + 1] if until is not None else _STAGES
-    on_disk = [(out_dir / f"{stage.name}.json").exists() for stage in stages]
-    computes = not all(on_disk)
     try:
+        # the loop sets ``rng``, the running stage's stream; the stages add ``ctx``
+        # and ``splits`` (data), ``learned`` and ``baseline`` (init), ``samples``,
+        # with validation matrices when sampled in this call, and ``bound``
+        run = SimpleNamespace(cfg=cfg, out_dir=out_dir, spec=cfg.sublevel_spec(), x0=np.zeros(cfg.dim))
+        stamp = cfg.hash()
+        seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STAGES))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        on_disk = [(out_dir / f"{stage.name}.json").exists() for stage in stages]
+        computes = not all(on_disk)
         with _one_blas_thread():
             for stage, seed, reused in zip(stages, seeds, on_disk):
                 # a resume that computes nothing needs only the stamp of a record it

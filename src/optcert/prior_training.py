@@ -21,6 +21,7 @@ import numpy as np
 
 from .algorithms import ratio_step, rollout
 from .nets import AdamState, adam_step
+from .problems import _is_int
 from .sublevel import SublevelSpec, estimate_sublevel_probability
 
 __all__ = [
@@ -42,8 +43,7 @@ class TrajectoryScheduler:
     target_len: int
 
     def __post_init__(self):
-        if not (1 <= self.segment_len <= self.target_len):
-            raise ValueError("need 1 <= s <= n")
+        _check_segment_len("trajectory", self.segment_len, self.target_len)
 
     def next(self, final_state, rng: np.random.Generator) -> tuple[object, bool]:
         """Returns (state to continue from, whether a restart happened)."""
@@ -66,19 +66,17 @@ class InitResult:
 
 
 def _check_segment_len(section: str, segment_len: int, target_len: int) -> None:
-    """Refuse a segment length outside 1..``target_len``, naming the config ``section``."""
-    if not 1 <= segment_len <= target_len:
-        raise ValueError(
-            f"{section}: need 1 <= segment_len <= target_len, got segment_len={segment_len}"
-            f" and target_len={target_len}"
-        )
+    """Refuse a non-integer length or a segment length outside 1..``target_len``, naming ``section``."""
+    if not (_is_int(segment_len) and _is_int(target_len) and 1 <= segment_len <= target_len):
+        raise ValueError(f"{section}: need 1 <= segment_len <= target_len, got segment_len={segment_len}"
+                         f" and target_len={target_len}")
 
 
 def _check_counts(section: str, **counts: int) -> None:
-    """Refuse a count below 1, naming the config ``section`` and every such count."""
-    low = [f"{name}={value}" for name, value in counts.items() if value < 1]
-    if low:
-        raise ValueError(f"{section}: need {', '.join(counts)} >= 1, got {' and '.join(low)}")
+    """Refuse a count that is not an integer >= 1, naming the config ``section`` and every such count."""
+    bad = [f"{name}={value!r}" for name, value in counts.items() if not (_is_int(value) and value >= 1)]
+    if bad:
+        raise ValueError(f"{section}: need integers {', '.join(counts)} >= 1, got {' and '.join(bad)}")
 
 
 @dataclass
@@ -96,7 +94,8 @@ class StageConfig:
 
     def __post_init__(self):
         _check_segment_len("init", self.segment_len, self.target_len)
-        _check_counts("init", decay_every=self.decay_every, n_init=self.n_init)
+        _check_counts("init", decay_every=self.decay_every, n_init=self.n_init,
+                      max_iterations=self.max_iterations)
 
 
 def _finite_sq_norm(grad: np.ndarray) -> float | None:
@@ -255,7 +254,7 @@ class LocateConfig:
 
     def __post_init__(self):
         _check_segment_len("locate", self.segment_len, self.target_len)
-        _check_counts("locate", check_every=self.check_every, decay_every=self.decay_every,
+        _check_counts("locate", n_max=self.n_max, check_every=self.check_every, decay_every=self.decay_every,
                       run_length=self.run_length, score_instances=self.score_instances)
 
 

@@ -191,6 +191,26 @@ def _interp_diag(m: float, L: float, n: int) -> np.ndarray:
     return np.sqrt(m) + i * (np.sqrt(L) - np.sqrt(m)) / (n - 1)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or NumPy int, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_quadratic_ranges(m_range, L_range) -> None:
+    """Refuse ranges of m and L other than ``0 < m_- <= m_+ <= L_- <= L_+``."""
+    (m_lo, m_hi), (L_lo, L_hi) = m_range, L_range
+    if not (0 < m_lo <= m_hi <= L_lo <= L_hi):
+        raise ValueError(f"need 0 < m_- <= m_+ <= L_- <= L_+, got m_range={m_range} and L_range={L_range}")
+
+
+def _check_lasso_ranges(n: int, p: int, reg_range) -> None:
+    """Refuse a design with other than 1 to n rows for n variables, or a range not ``0 < reg_lo < reg_hi``."""
+    reg_lo, reg_hi = reg_range
+    if not (_is_int(p) and 1 <= p <= n and 0 < reg_lo < reg_hi):
+        raise ValueError("need an integer 1 <= design_rows <= dim and 0 < reg_lo < reg_hi, got "
+                         f"design_rows={p!r}, dim={n} and reg_range={reg_range}")
+
+
 def gen_quadratics(
     count: int,
     n: int,
@@ -203,10 +223,8 @@ def gen_quadratics(
     ``m ~ U[m_range]``, ``L ~ U[L_range]`` per instance; the rhs is drawn from
     one Gaussian ``N(mu, C^T C)`` with ``mu_i, C_ik ~ U[-5, 5]`` fixed per call.
     """
-    m_lo, m_hi = m_range
-    L_lo, L_hi = L_range
-    if not (0 < m_lo <= m_hi <= L_lo <= L_hi):
-        raise ValueError("need 0 < m_- <= m_+ <= L_- <= L_+")
+    _check_quadratic_ranges(m_range, L_range)
+    (m_lo, m_hi), (L_lo, L_hi) = m_range, L_range
     rng = np.random.default_rng(seed)
     mu = rng.uniform(-5.0, 5.0, size=n)
     C = rng.uniform(-5.0, 5.0, size=(n, n))
@@ -219,22 +237,22 @@ def gen_quadratics(
     return instances
 
 
-def power_iteration_gram(A: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of ``A.T @ A`` by power iteration on the smaller Gram factor."""
-    p, n = A.shape
-    G = A @ A.T if p <= n else A.T @ A
+_POWER_REL_TOL = 1e-8  # stop once an iterate moves the eigenvalue by this fraction or less
+_POWER_MAX_ITER = 10_000
+
+
+def power_iteration_gram(A: np.ndarray) -> float:
+    """Largest eigenvalue of ``A.T @ A`` (p <= n), by power iteration on ``A @ A.T``, which shares it."""
+    G = A @ A.T
     rng = np.random.default_rng(0)
     v = rng.standard_normal(G.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = G @ v
         lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
+        v = w / np.linalg.norm(w)
+        if abs(lam_new - lam) <= _POWER_REL_TOL * abs(lam_new):
             return lam_new
         lam = lam_new
     return lam
@@ -247,12 +265,9 @@ def gen_lasso(
     reg_range: tuple[float, float],
     seed,
 ) -> tuple[LassoClassContext, list[LassoInstance]]:
-    """Sample one shared design matrix and ``count`` LASSO instances."""
+    """Sample one shared (p, n) design matrix and ``count`` LASSO instances."""
+    _check_lasso_ranges(n, p, reg_range)
     reg_lo, reg_hi = reg_range
-    if p > n:
-        raise ValueError("need p <= n")
-    if not (0 < reg_lo < reg_hi):
-        raise ValueError("need 0 < reg_lo < reg_hi")
     rng = np.random.default_rng(seed)
     A = rng.uniform(-10.0, 10.0, size=(p, n))
     ctx = LassoClassContext(design=A, lipschitz=power_iteration_gram(A))

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+PATIENCE = 200  # abort when this many proposals in a row are rejected
+
+
 @dataclass
 class SgldConfig:
     step0: float = 1e-6
@@ -34,7 +37,6 @@ class SgldConfig:
     segment_len: int = 1
     target_len: int = 50
     run_length: int = 50
-    patience: int = 200  # abort if no acceptance over this many proposals
 
     def __post_init__(self):
         _check_segment_len("sgld", self.segment_len, self.target_len)
@@ -53,9 +55,6 @@ class SampleSet:
     points: list  # list of 1-d arrays
     estimates: list  # matching sublevel probability estimates
     val_losses: list | None = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +81,7 @@ class ConstraintNotFoundError(RuntimeError):
 
 
 class NoFeasiblePointError(ConstraintNotFoundError):
-    """No proposal satisfied the constraint within the patience window."""
+    """No proposal satisfied the constraint in ``PATIENCE`` attempts in a row."""
 
 
 def constrained_sample(
@@ -129,10 +128,8 @@ def constrained_sample(
         else:
             algo.set_flat(current)
             rejected_streak += 1
-            if rejected_streak >= cfg.patience:
-                raise NoFeasiblePointError(
-                    f"no accepted proposal in {cfg.patience} attempts"
-                )
+            if rejected_streak >= PATIENCE:
+                raise NoFeasiblePointError(f"no accepted proposal in {PATIENCE} attempts")
         traj.advance(state, loss)
     algo.set_flat(current)
     return SampleSet(points=points, estimates=estimates, val_losses=val_losses)

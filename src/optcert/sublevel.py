@@ -4,19 +4,15 @@ The threshold function is ``g(theta) = a * loss(x0, theta)^b``.  The
 probability that a hyperparameter reaches the sublevel set is estimated
 sequentially: starting from the noninformative Beta(1, 1) prior, Bernoulli
 outcomes update the posterior until the (q_l, q_u) quantile interval is
-narrower than ``width_tol`` or the draw budget is exhausted.
+narrower than ``width_tol`` or ``MAX_DRAWS`` draws are spent.
 
 Membership is read off a rollout loss matrix (see ``algorithms.rollout``):
 for a fixed hyperparameter the outcome on an instance is deterministic, so
 an estimate rolls every instance out once and its draws with replacement
 become index lookups.
 
-The Beta quantiles are computed with the standard library alone: the
-regularized incomplete beta function is a continued fraction, inverted by
-safeguarded Newton (Halley) steps, and memoized, because a run asks for the
-same few hundred (a, b, q) triples thousands of times.  The stopping rule
-needs one quantile and one CDF value per posterior, not the two quantiles
-of the interval, and its decision is memoized as well.
+The Beta quantiles (``beta_ppf``) and the stopping decision
+(``interval_narrower``) use the standard library alone, and are memoized.
 """
 
 from __future__ import annotations
@@ -45,6 +41,9 @@ __all__ = [
 ]
 
 
+MAX_DRAWS = 10_000  # an estimate that has not stopped after this many draws is inconclusive
+
+
 @dataclass(frozen=True)
 class SublevelSpec:
     """Threshold shape, constraint band, and estimation accuracy knobs."""
@@ -56,7 +55,6 @@ class SublevelSpec:
     q_l: float = 0.01
     q_u: float = 0.99
     width_tol: float = 0.075
-    max_draws: int = 10_000
 
     def __post_init__(self):
         if not (0 <= self.p_l < self.p_u <= 1):
@@ -67,8 +65,6 @@ class SublevelSpec:
             raise ValueError("width_tol must be positive")
         if self.g_scale <= 0 or self.g_exponent < 0:
             raise ValueError("need g_scale > 0 and g_exponent >= 0")
-        if self.max_draws < 1:
-            raise ValueError("max_draws must be at least 1")
 
     def admits(self, res: EstimateResult) -> bool:
         """Whether an estimate is conclusive and its point estimate lies in [p_l, p_u]."""
@@ -176,42 +172,32 @@ def _cdf_residual(a: float, b: float, x: float, q: float, log_beta: float) -> fl
 
 
 def _initial_guess(a: float, b: float, q: float) -> float:
-    """Starting point: a normal-deviate approximation for a, b >= 1, else the tails."""
-    if a >= 1.0 and b >= 1.0:
-        # standard normal quantile, Abramowitz & Stegun 26.2.22 (error < 3e-3)
-        t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
-        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
-        if q < 0.5:
-            z = -z
-        # Beta quantile from the normal deviate, Abramowitz & Stegun 26.5.22
-        lam = (z * z - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = -z * math.sqrt(h + lam) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-            lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
-        )
-        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
-    else:
-        # CDF ~ x^a / (a B) near 0 and 1 - (1 - x)^b / (b B) near 1
-        lower = math.exp(a * math.log(a / (a + b))) / a
-        upper = math.exp(b * math.log(b / (a + b))) / b
-        total = lower + upper
-        if q < lower / total:
-            x = (a * total * q) ** (1.0 / a)
-        else:
-            x = 1.0 - (b * total * (1.0 - q)) ** (1.0 / b)
+    """Starting point for a, b >= 1: a normal-deviate approximation."""
+    # standard normal quantile, Abramowitz & Stegun 26.2.22 (error < 3e-3)
+    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    if q < 0.5:
+        z = -z
+    # Beta quantile from the normal deviate, Abramowitz & Stegun 26.5.22
+    lam = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+    w = -z * math.sqrt(h + lam) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+        lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
+    )
+    x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
     return min(max(x, math.ulp(0.0)), 1.0 - 2.0**-53)  # strictly inside (0, 1)
 
 
 @functools.lru_cache(maxsize=4096)
 def beta_ppf(a: float, b: float, q: float) -> float:
-    """Inverse CDF of Beta(a, b) at q, memoized; ``beta_ppf.__wrapped__`` is uncached.
+    """Inverse CDF of Beta(a, b) at q for posterior counts a, b >= 1, memoized; ``__wrapped__`` is uncached.
 
     Halley steps (Newton's step corrected by the curvature of the CDF) on
     ``I_x(a, b) = q`` from an approximate start; a step that would leave the
     bracket known to hold the root is replaced by bisection.
     """
-    if not (a > 0.0 and b > 0.0 and 0.0 < q < 1.0):
-        raise ValueError(f"need a, b > 0 and 0 < q < 1, got a={a}, b={b}, q={q}")
+    if not (a >= 1.0 and b >= 1.0 and 0.0 < q < 1.0):
+        raise ValueError(f"need a, b >= 1 and 0 < q < 1, got a={a}, b={b}, q={q}")
     log_beta = _log_beta(a, b)
     lo, hi = 0.0, 1.0
     x = _initial_guess(a, b, q)
@@ -260,14 +246,14 @@ def estimate_probability(bernoulli_stream, spec: SublevelSpec) -> EstimateResult
     """Sequentially estimate a Bernoulli parameter from the stream.
 
     Draws while the posterior quantile interval has width >= ``width_tol``;
-    the point estimate is the posterior mean. If ``max_draws`` outcomes do
+    the point estimate is the posterior mean. If ``MAX_DRAWS`` outcomes do
     not suffice, the result is flagged inconclusive.
     """
     post = BetaPosterior()
     stream = iter(bernoulli_stream)
     draws = 0
     while not interval_narrower(post.count_a, post.count_b, spec.q_l, spec.q_u, spec.width_tol):
-        if draws >= spec.max_draws:
+        if draws >= MAX_DRAWS:
             return EstimateResult(post.mean, post, draws, conclusive=False)
         post.update(int(next(stream)))
         draws += 1

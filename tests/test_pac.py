@@ -354,9 +354,9 @@ class TestBuildStatsFromSamplerMatrices:
         held = self._build(sampled, k, samples.val_losses, monkeypatch)
         fresh = self._build(sampled, k, None, monkeypatch)
         assert held[:2] == fresh[:2]
-        assert fresh[2] == len(samples)
+        assert fresh[2] == len(samples.points)
         # the matrices stand in for the validation rollouts when they are long enough
-        assert held[2] == (0 if k <= self.RUN_LENGTH else len(samples))
+        assert held[2] == (0 if k <= self.RUN_LENGTH else len(samples.points))
 
     def test_support_has_feasible_and_dropped_points(self, sampled, monkeypatch):
         # the equality above covers both branches of build_stats

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 
 import optcert
 from optcert import algorithms, pipeline
@@ -29,3 +30,25 @@ def test_what_the_benchmark_uses_is_there():
     # the tracer wraps a learned rule's step methods through the class's own dict
     for cls in (algorithms.QuadLearnedAlgo, algorithms.LassoLearnedAlgo):
         assert {"step", "step_with_tape", "step_backward"} <= set(vars(cls)), cls.__name__
+
+
+def test_the_config_surface_is_pinned():
+    # every key a config file may set, so that a knob added or removed shows up here as a diff
+    cfg = pipeline.ExperimentConfig()
+    sections = {"sublevel": cfg.sublevel_spec(), "init": cfg.stage_config(), "locate": cfg.locate_config(),
+                "sgld": cfg.sgld_config(), "pac": cfg.pac_config()}
+    keys = {f.name for f in fields(cfg)} | {f"{name}.{f.name}" for name, section in sections.items()
+                                            for f in fields(section)}
+    assert keys == {
+        "problem", "dim", "design_rows", "m_range", "L_range", "reg_range", "sizes", "n_train", "seed",
+        "sublevel", "init", "locate", "sgld", "pac",
+        "sublevel.g_scale", "sublevel.g_exponent", "sublevel.p_l", "sublevel.p_u", "sublevel.q_l",
+        "sublevel.q_u", "sublevel.width_tol",
+        "init.segment_len", "init.target_len", "init.lr", "init.decay_every", "init.n_init", "init.eps_init",
+        "init.max_iterations", "init.guard_factor",
+        "locate.segment_len", "locate.target_len", "locate.lr", "locate.decay_every", "locate.n_max",
+        "locate.check_every", "locate.run_length", "locate.guard_factor", "locate.score_instances",
+        "sgld.step0", "sgld.n_samples", "sgld.thinning", "sgld.segment_len", "sgld.target_len",
+        "sgld.run_length",
+        "pac.lambda_min", "pac.lambda_max", "pac.grid_size", "pac.eps_pac",
+    }

@@ -73,9 +73,41 @@ BAD_SECTIONS = [
     ("locate", {"n_max": 600, "run_length": 0}),
     ("locate", {"n_max": 600, "score_instances": 0}),
     ("init", {"n_init": 0}),
-    ("sublevel", {"max_draws": 0}),
+    ("sublevel", {"max_draws": 10_000}),  # a constant now, so an unknown key
     ("dim", 0),
     ("n_train", 0),
+    ("sgld", {"patience": 200}),  # a constant now, so an unknown key
+    # non-integer counts and bad seeds, which ran or failed after the output directory was made
+    ("seed", -1),
+    ("seed", 1.5),
+    ("dim", 4.5),
+    ("n_train", 2.5),
+    ("sgld", {"n_samples": 2.5}),
+    ("sizes", (10, 10, 2.5, 10)),
+    ("dim", True),
+    ("locate", {"n_max": 600.5}),
+    ("locate", {"n_max": 600, "run_length": 10, "target_len": 10.5}),
+    ("init", {"max_iterations": 200.5}),
+    ("pac", {"grid_size": 200.5}),
+    # quadratic data ranges, which failed only in the data stage
+    ("m_range", (2.0, 1.0)),
+    ("L_range", (0.5, 1.0)),
+]
+
+
+def tiny_lasso_config(**overrides):
+    lasso = {"problem": "lasso", "dim": 6, "design_rows": 4, "reg_range": (0.1, 0.5)}
+    return tiny_config(**{**lasso, **overrides})
+
+
+# LASSO data shapes and ranges, which failed in the data stage or (design_rows 0)
+# wrote a data.json with an empty design
+BAD_LASSO_DATA = [
+    ("design_rows", 7),
+    ("design_rows", 0),
+    ("design_rows", 2.5),
+    ("reg_range", (1.0, 0.1)),
+    ("reg_range", (0.0, 0.5)),
 ]
 
 
@@ -94,6 +126,15 @@ class TestExperimentConfig:
     def test_bad_section_is_refused_at_construction(self, section, value):
         with pytest.raises((TypeError, ValueError)):
             tiny_config(**{section: value})
+
+    @pytest.mark.parametrize("key, value", BAD_LASSO_DATA)
+    def test_bad_lasso_data_is_refused_at_construction(self, key, value):
+        with pytest.raises(ValueError):
+            tiny_lasso_config(**{key: value})
+
+    def test_only_the_problem_kinds_own_ranges_are_checked(self):
+        tiny_config(design_rows=0, reg_range=(1.0, 0.1))
+        tiny_lasso_config(m_range=(2.0, 1.0), L_range=(0.5, 1.0))
 
     @pytest.mark.parametrize("section", ["init", "locate", "sgld"])
     def test_segment_len_message_names_the_section(self, section):
@@ -249,6 +290,13 @@ class TestPipeline:
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ValueError):
             run_pipeline(tiny_config(), tmp_path, until="nonsense")
+
+    def test_a_setup_failure_is_a_stage_error_and_writes_nothing(self, tmp_path):
+        cfg = tiny_config()
+        cfg.seed = -1  # set after construction, which no check sees
+        with pytest.raises(StageError):
+            run_pipeline(cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
 
 def _refuse(what):
@@ -471,16 +519,23 @@ class TestStaleArtifacts:
         assert (out / "certificate.json").read_bytes() == cert
 
 
+def _with_certify_compute(wrapper):
+    """The stage table with the certificate stage computed by ``wrapper(its compute, run)``."""
+    return tuple(
+        stage._replace(compute=lambda run, compute=stage.compute: wrapper(compute, run))
+        if stage.name == "certificate" else stage
+        for stage in pipeline._STAGES
+    )
+
+
 class TestAtomicArtifacts:
     @pytest.mark.parametrize("failure", ["serialise", "rename"])
     def test_failed_write_leaves_nothing_and_rerun_recomputes(
         self, completed_run, tmp_path, monkeypatch, failure
     ):
         if failure == "serialise":
-            certify_stage = pipeline._stage_certify
-            monkeypatch.setattr(
-                pipeline, "_stage_certify", lambda *a: {**certify_stage(*a), "extra": object()}
-            )
+            monkeypatch.setattr(pipeline, "_STAGES", _with_certify_compute(
+                lambda certify_stage, run: {**certify_stage(run), "extra": object()}))
         else:
             real_replace = pipeline.os.replace
 
@@ -505,10 +560,7 @@ class TestArtifactEncoding:
         {"points": [[0.1, -2.5e-300, 1e308], [], [3]], "estimates": [0.98, 1.0], "empty": {}, "none": []},
         {"context": None, "instances": [{"diag": [1.0, 2.0], "rhs": [0.5, float("nan")]}],
          "nested": {"a": [1, {"b": "\u00e9\"q"}], "t": (1, 2)}, "flag": True},
-        {1: "non-string key", "x": float("inf")},
-        [[1.5, 2.5], {"k": [1]}, "s", -0.0],
-        [],
-        3.25,
+        {"x": float("inf")},
     ])
     def test_same_bytes_as_json_dump(self, obj, tmp_path):
         path = tmp_path / "a.json"
@@ -604,13 +656,13 @@ class TestBlasThreads:
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS is not loadable here")
         set_threads, get_threads = blas
-        during, certify_stage = [], pipeline._stage_certify
+        during = []
 
-        def recording(run):
+        def recording(certify_stage, run):
             during.append(get_threads())
             return certify_stage(run)
 
-        monkeypatch.setattr(pipeline, "_stage_certify", recording)
+        monkeypatch.setattr(pipeline, "_STAGES", _with_certify_compute(recording))
         before = get_threads()
         set_threads(2)
         try:
@@ -795,15 +847,26 @@ class TestCli:
         record = {"flat": many, "nested": [many], "in_dict": {"points": [many]}, "bound": 1.5}
         assert _summary(record) == {"bound": 1.5}
 
-    @pytest.mark.parametrize("section, value", BAD_SECTIONS)
-    def test_invalid_config_exits_three_and_writes_nothing(self, tmp_path, section, value):
+    @staticmethod
+    def _exits_three_and_writes_nothing(tmp_path, cfg: dict, *options):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**asdict(tiny_config()), section: value}))
-        res = CliRunner().invoke(main, ["init", "--config", str(cfg_path),
+        cfg_path.write_text(json.dumps(cfg))
+        res = CliRunner().invoke(main, ["init", "--config", str(cfg_path), *options,
                                         "--out", str(tmp_path / "o")])
         assert res.exit_code == 3, res.output
         assert "invalid config" in res.output
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, value", BAD_SECTIONS)
+    def test_invalid_config_exits_three_and_writes_nothing(self, tmp_path, section, value):
+        self._exits_three_and_writes_nothing(tmp_path, {**asdict(tiny_config()), section: value})
+
+    @pytest.mark.parametrize("key, value", BAD_LASSO_DATA)
+    def test_invalid_lasso_data_exits_three_and_writes_nothing(self, tmp_path, key, value):
+        self._exits_three_and_writes_nothing(tmp_path, {**asdict(tiny_lasso_config()), key: value})
+
+    def test_negative_seed_override_exits_three_and_writes_nothing(self, tmp_path):
+        self._exits_three_and_writes_nothing(tmp_path, asdict(tiny_config()), "--seed", "-1")
 
     def test_infeasible_band_exits_two(self, tmp_path):
         # a band requiring p_hat <= 0.3 cannot be reached by the trained rule

@@ -45,7 +45,7 @@ class TestSampleSet:
     def test_json_roundtrip(self):
         s = SampleSet(points=[np.array([1.0, 2.0]), np.array([3.0, 4.0])], estimates=[0.97, 0.99])
         r = SampleSet.from_dict(json.loads(json.dumps(s.to_dict())))
-        assert len(r) == 2
+        assert len(r.points) == 2
         np.testing.assert_array_equal(r.points[1], [3.0, 4.0])
         assert r.estimates == [0.97, 0.99]
 
@@ -97,7 +97,7 @@ class TestConstrainedSample:
         cfg = SgldConfig(step0=1e-3, n_samples=5, thinning=2, run_length=10, target_len=10)
         out = constrained_sample(algo, self.data, self.data, self.x0, self.spec, cfg,
                                  np.random.default_rng(0))
-        assert len(out) == 5
+        assert len(out.points) == 5
         assert len(out.estimates) == 5
 
     def test_collected_points_reverify_feasible(self):
@@ -120,18 +120,16 @@ class TestConstrainedSample:
 
     def test_thinning_counts_acceptances(self):
         # with huge steps every proposal leaves the band, so only the start
-        # point can ever be collected and patience aborts the run
+        # point can ever be collected and the PATIENCE-th rejection aborts the run
         algo = _BandAlgo(0.5)
-        cfg = SgldConfig(step0=1e6, n_samples=3, thinning=1, run_length=10,
-                         target_len=10, patience=20)
-        with pytest.raises(NoFeasiblePointError):
+        cfg = SgldConfig(step0=1e6, n_samples=3, thinning=1, run_length=10, target_len=10)
+        with pytest.raises(NoFeasiblePointError, match=f"in {sampler.PATIENCE} attempts"):
             constrained_sample(algo, self.data, self.data, self.x0, self.spec, cfg,
                                np.random.default_rng(4))
 
     def test_rejection_restores_current(self):
         algo = _BandAlgo(0.5)
-        cfg = SgldConfig(step0=1e6, n_samples=3, thinning=1, run_length=10,
-                         target_len=10, patience=5)
+        cfg = SgldConfig(step0=1e6, n_samples=3, thinning=1, run_length=10, target_len=10)
         with pytest.raises(NoFeasiblePointError):
             constrained_sample(algo, self.data, self.data, self.x0, self.spec, cfg,
                                np.random.default_rng(5))

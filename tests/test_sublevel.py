@@ -11,6 +11,7 @@ import optcert
 from optcert.algorithms import AlgoState, HbfAlgo, hbf_params, rollout
 from optcert.problems import QuadraticInstance
 from optcert.sublevel import (
+    MAX_DRAWS,
     BetaPosterior,
     EstimateResult,
     SublevelSpec,
@@ -36,7 +37,7 @@ class TestSpecValidation:
     def test_defaults(self):
         s = SublevelSpec()
         assert (s.p_l, s.p_u, s.q_l, s.q_u) == (0.95, 1.0, 0.01, 0.99)
-        assert s.width_tol == 0.075 and s.max_draws == 10000
+        assert s.width_tol == 0.075
 
 
 class TestAdmits:
@@ -136,14 +137,11 @@ class TestBetaQuantile:
             assert beta_ppf(3.0, 1.0, q) == pytest.approx(q ** (1 / 3), rel=1e-13)
             assert beta_ppf(1.0, 4.0, q) == pytest.approx(-np.expm1(np.log1p(-q) / 4), rel=1e-13)
 
-    @pytest.mark.parametrize("bad", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("bad", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0),
+                                     (0.5, 1.0, 0.5), (1.0, 0.99, 0.5)])
     def test_rejects_invalid_arguments(self, bad):
         with pytest.raises(ValueError):
             beta_ppf.__wrapped__(*bad)
-
-    def test_quantile_below_the_float_range_is_zero(self):
-        # the 1e-6 quantile of Beta(0.01, 1000) is about 1e-600
-        assert beta_ppf.__wrapped__(0.01, 1000.0, 1e-6) == 0.0
 
     def test_cached_equals_uncached(self):
         for a, b, q in itertools.product((1.0, 2.0, 37.0, 600.0), (1.0, 5.0, 420.0), (0.01, 0.5, 0.99)):
@@ -181,9 +179,9 @@ class TestEstimateProbability:
         assert res.point_estimate == pytest.approx(0.5)
 
     def test_max_draws_inconclusive(self):
-        spec = SublevelSpec(width_tol=1e-9, max_draws=100)
+        spec = SublevelSpec(width_tol=1e-9)
         res = estimate_probability(itertools.repeat(1), spec)
-        assert not res.conclusive and res.draws_used == 100
+        assert not res.conclusive and res.draws_used == MAX_DRAWS == 10_000
 
     def test_calibration_near_true_p(self):
         spec = SublevelSpec()
@@ -258,7 +256,7 @@ class TestBetaQuantileAgainstScipy:
         return pytest.importorskip("scipy.special").betaincinv
 
     def test_grid_relative_error(self, betaincinv):
-        counts = (0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 30.0, 59.0, 100.0, 333.0, 1000.0, 3000.0, 10001.0)
+        counts = (1.0, 1.5, 2.0, 3.0, 7.0, 30.0, 59.0, 100.0, 333.0, 1000.0, 3000.0, 10001.0)
         qs = (1e-12, 1e-6, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1 - 1e-6, 1 - 1e-12)
         errors = [
             abs(beta_ppf.__wrapped__(a, b, q) / betaincinv(a, b, q) - 1.0)
