@@ -34,6 +34,8 @@ __all__ = [
     "adam_step",
 ]
 
+_BLOCK_FLOATS = 25_600  # floats per hidden-layer buffer of an untaped pass: 400 rows at width 64
+
 
 class FlatParams:
     """The flat-vector interface of a model whose parameters are the vector ``self.params``."""
@@ -77,9 +79,9 @@ class DenseNet(FlatParams):
     ``weights[i]`` is an (out, in) view into ``params``, and
     ``weight_grads[i]`` the view of its gradient in ``grads``.  Inside a
     ``frozen_weights`` block ``weights_t[i]`` is a C-contiguous copy of
-    ``weights[i].T``, else None.  ``work`` is (rows, outputs): the layer
-    outputs of the untaped passes over those copies, sized for the last row
-    count, with None for the output layer.
+    ``weights[i].T``, else None.  ``work`` is (rows, blocks): for the last
+    row count, each row block's (start, stop, outputs), the buffers of its
+    hidden-layer outputs in the untaped passes over those copies.
     """
 
     weights: list
@@ -169,19 +171,33 @@ class DenseNet(FlatParams):
         return H[0] if squeeze else H
 
     def _forward_frozen(self, H: np.ndarray) -> np.ndarray:
-        """Untaped pass of the (rows, in_dim) ``H`` over ``weights_t``; the output is a fresh array."""
+        """Untaped pass of the (rows, in_dim) ``H`` over ``weights_t``, in row blocks; the output is a fresh array.
+
+        The rows are split into near-equal blocks, each of about
+        ``_BLOCK_FLOATS`` floats or fewer in the widest hidden layer, so the
+        buffers do not grow with the row count.  The block edges fall on
+        multiples of 16 rows, where each block's products keep the bits of the
+        product over all rows: the BLAS kernels work on groups of rows.
+        """
         rows = len(H)
         if self.work is None or self.work[0] != rows:
-            # the hidden layers alternate between two flat buffers, rows x widest layer each
-            width = max((W.shape[0] for W in self.weights[:-1]), default=0)
-            pair = np.empty((2, rows * width))
-            outs = [pair[i % 2, : rows * W.shape[0]].reshape(rows, -1) for i, W in enumerate(self.weights[:-1])]
-            self.work = (rows, outs + [None])
-        for WT, act, out in zip(self.weights_t, self.activation_mask, self.work[1]):
-            H = np.matmul(H, WT, out=out)
-            if act:
-                np.maximum(H, 0.0, out=H)
-        return H
+            # the hidden layers alternate between two flat buffers, longest block x widest layer each
+            width = max((W.shape[0] for W in self.weights[:-1]), default=1)
+            blocks = -(-rows * width // _BLOCK_FLOATS)
+            edges = [rows * b // blocks // 16 * 16 for b in range(blocks)] + [rows]
+            pair = np.empty((2, max(stop - start for start, stop in zip(edges, edges[1:])) * width))
+            plan = [(start, stop, [pair[i % 2, : (stop - start) * W.shape[0]].reshape(stop - start, -1)
+                                   for i, W in enumerate(self.weights[:-1])])
+                    for start, stop in zip(edges[:-1], edges[1:])]
+            self.work = (rows, plan)
+        out = np.empty((rows, self.weights[-1].shape[0]))
+        for start, stop, bufs in self.work[1]:
+            B = H[start:stop]
+            for WT, act, buf in zip(self.weights_t, self.activation_mask, bufs + [out[start:stop]]):
+                B = np.matmul(B, WT, out=buf)
+                if act:
+                    np.maximum(B, 0.0, out=B)
+        return out
 
     def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
         """Exact reverse-mode pass over the last taped ``forward``; rectifier subgradient at 0 is 0.
@@ -217,7 +233,9 @@ def frozen_weights(nets: list):
     Each net gets one C-contiguous copy of every ``W.T`` on entry and drops
     it on exit, so the weights must not change inside the block.  At the
     learned rules' shapes the bits are those of the ``H @ W.T`` chain (the
-    tests check 40 to 2000 rows); the hidden-layer buffers outlive the block
+    tests check 40 to 4001 rows, across row-block edges; below 19 rows a
+    64-wide layer can differ in the last bits); the two hidden-layer buffers
+    of a net, about ``_BLOCK_FLOATS`` floats each at most, outlive the block
     and are reallocated only when the row count changes.
     """
     for net in nets:
@@ -252,15 +270,15 @@ BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denomi
 class AdamState:
     """Moment estimates and counters of the standard bias-corrected update.
 
-    ``adam_step`` updates the moments in place and keeps two scratch
-    buffers here, so a step allocates no arrays.
+    ``adam_step`` updates the moments in place and keeps one scratch
+    buffer here, so a step allocates no arrays.
     """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    scratch: tuple = field(default=(), repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, dim: int, lr: float = 1e-3) -> "AdamState":
@@ -272,14 +290,16 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[
 
     The operations are those of the textbook update, in the same order, so
     the result is bit-identical to ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+    ``grads`` is overwritten: once the moments are updated it is the second
+    scratch buffer.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError("params/grads/state length mismatch")
-    if not state.scratch:
-        state.scratch = (np.empty_like(params), np.empty_like(params))
-    s1, s2 = state.scratch
+    if state.scratch is None:
+        state.scratch = np.empty_like(params)
+    s1, s2 = state.scratch, grads
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment

@@ -92,6 +92,7 @@ class StaleArtifactError(StageError):
 ARTIFACT_FORMAT = 2
 _PROBE_TRIES = 20  # draws of the learned rule's weights before the init stage gives up
 _TIMING_REPEATS = 3  # rollouts per algorithm whose step times the report takes the median of
+_JSON_FLOATS = 4_096  # entries of a float array per json.dumps call when an artifact is written
 
 
 @dataclass
@@ -177,25 +178,43 @@ def _probe_arch(algo, instances, x0, rng):
 
 
 def _write_json(fh, record: dict) -> None:
-    """Write the bytes of ``json.dump(record, fh)`` with the C encoder behind ``json.dumps``.
+    """Write the bytes of ``json.dump(record, fh)``, a float array as its list, with the C encoder.
 
     ``json.dump`` streams through the pure-Python encoder.  Here each value
     of the record (a dict with str keys) is one ``json.dumps`` call, except
-    that a list of records (lists or dicts, such as the instances or the
-    sampled points) is written one at a time: no string of the whole
-    document is built, which keeps the peak memory of the LASSO artifacts down.
+    that a list of records (lists, dicts or 1-d float arrays, such as the
+    instances or the sampled points) is written one at a time, and an array
+    ``_JSON_FLOATS`` entries at a time: neither a string of the whole
+    document nor the list of a whole array is built, so the peak memory of
+    writing the LASSO samples does not grow with their number or length.
     """
     fh.write("{")
     for i, (key, value) in enumerate(record.items()):
         fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, (list, tuple)) and all(isinstance(item, (list, tuple, dict)) for item in value):
+        if isinstance(value, (list, tuple)) and all(isinstance(item, (list, tuple, dict, np.ndarray))
+                                                    for item in value):
             fh.write("[")
             for j, item in enumerate(value):
-                fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+                fh.write(", " if j else "")
+                if isinstance(item, np.ndarray):
+                    # json.dumps of the list, one slice at a time, without the brackets of each slice
+                    fh.write("[")
+                    for start in range(0, len(item), _JSON_FLOATS):
+                        part = json.dumps(item[start: start + _JSON_FLOATS].tolist())[1:-1]
+                        fh.write(f"{', ' if start else ''}{part}")
+                    fh.write("]")
+                else:
+                    fh.write(json.dumps(item))
             fh.write("]")
         else:
             fh.write(json.dumps(value))
     fh.write("}")
+
+
+def _as_read(record: dict) -> dict:
+    """``record`` as ``json.loads`` reads its artifact back: each float array in its lists becomes a list."""
+    return {key: [item.tolist() if isinstance(item, np.ndarray) else item for item in value]
+            if isinstance(value, list) else value for key, value in record.items()}
 
 
 def _dump_json(path: Path, record: dict) -> None:
@@ -433,7 +452,8 @@ def _stage_sample(run):
         run.learned, run.splits.prior, run.splits.val, run.x0, run.spec,
         run.cfg.sgld_config(), run.rng,
     )
-    return run.samples.to_dict()
+    # the points stay arrays, which the writer encodes a slice at a time
+    return {"points": run.samples.points, "estimates": list(map(float, run.samples.estimates))}
 
 
 def _load_samples(run, record):
@@ -548,13 +568,14 @@ def _one_blas_thread():
 def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> dict:
     """Run the stages in order, stopping after ``until`` when given.
 
-    Returns the record of the last completed stage.  When some stage up to
-    ``until`` computes, every reused artifact is read, checked and loaded
-    into splits, algorithms and samples; a computed record is never loaded.
-    When none computes, nothing is built: the returned record and
-    ``prior_location.json``, whose ``found`` is checked, are parsed, and
-    every other artifact is verified by the stamp in its last bytes, or
-    parsed and checked when they do not match.  The body of an artifact
+    Returns the record of the last completed stage, as ``json.loads`` reads
+    its artifact.  When some stage up to ``until`` computes, every reused
+    artifact is read, checked and loaded into splits, algorithms and
+    samples; a computed record is never loaded.  When none computes,
+    nothing is built: the returned record and ``prior_location.json``,
+    whose ``found`` is checked, are parsed, and every other artifact is
+    verified by the stamp in its last bytes, or parsed and checked when
+    they do not match.  The body of an artifact
     verified by its stamp is checked only when a later call loads it.
     The stages run on one BLAS thread, and the caller's count is restored.
     Raises ConstraintNotFoundError when no feasible region exists,
@@ -595,4 +616,5 @@ def run_pipeline(cfg: ExperimentConfig, out_dir, until: str | None = None) -> di
         raise
     except Exception as exc:
         raise StageError(str(exc)) from exc
-    return record
+    # a computed record may hold float arrays; a reused one was read from its artifact
+    return record if on_disk[-1] else _as_read(record)

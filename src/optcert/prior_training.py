@@ -79,6 +79,13 @@ def _check_counts(section: str, **counts: int) -> None:
         raise ValueError(f"{section}: need integers {', '.join(counts)} >= 1, got {' and '.join(bad)}")
 
 
+def _check_positive(section: str, **values: float) -> None:
+    """Refuse a value that is not a finite number > 0, naming the config ``section`` and every such value."""
+    bad = [f"{name}={value!r}" for name, value in values.items() if not 0 < value < math.inf]
+    if bad:
+        raise ValueError(f"{section}: need finite {', '.join(values)} > 0, got {' and '.join(bad)}")
+
+
 @dataclass
 class StageConfig:
     """Knobs of the imitation initialization (stage 1)."""
@@ -96,6 +103,7 @@ class StageConfig:
         _check_segment_len("init", self.segment_len, self.target_len)
         _check_counts("init", decay_every=self.decay_every, n_init=self.n_init,
                       max_iterations=self.max_iterations)
+        _check_positive("init", lr=self.lr, guard_factor=self.guard_factor)
 
 
 def _finite_sq_norm(grad: np.ndarray) -> float | None:
@@ -256,6 +264,7 @@ class LocateConfig:
         _check_segment_len("locate", self.segment_len, self.target_len)
         _check_counts("locate", n_max=self.n_max, check_every=self.check_every, decay_every=self.decay_every,
                       run_length=self.run_length, score_instances=self.score_instances)
+        _check_positive("locate", lr=self.lr, guard_factor=self.guard_factor)
 
 
 def _median_loss(losses: np.ndarray) -> float:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prior_training import _check_counts, _check_segment_len, _finite_sq_norm, _segment_updates, _Trajectory
+from .prior_training import (_check_counts, _check_positive, _check_segment_len, _finite_sq_norm,
+                             _segment_updates, _Trajectory)
 from .sublevel import SublevelSpec, estimate_sublevel_probability
 
 __all__ = [
@@ -41,6 +42,7 @@ class SgldConfig:
     def __post_init__(self):
         _check_segment_len("sgld", self.segment_len, self.target_len)
         _check_counts("sgld", n_samples=self.n_samples, thinning=self.thinning, run_length=self.run_length)
+        _check_positive("sgld", step0=self.step0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optcert.nets import AdamState, DenseNet, adam_step, frozen_weights
+from optcert.nets import _BLOCK_FLOATS, AdamState, DenseNet, adam_step, frozen_weights
 
 from gradcheck import finite_diff
 
@@ -37,7 +37,8 @@ class TestForward:
             single = net.forward(batch[i])
             np.testing.assert_allclose(out[i], single)
 
-    @pytest.mark.parametrize("rows", [1, 40, 1000, 2000])
+    # one row block, exact multiples of a block and remainders, at widths 64, 16 and 8
+    @pytest.mark.parametrize("rows", [1, 40, 399, 400, 401, 1000, 1600, 1601, 1999, 2000, 4001])
     def test_frozen_pass_has_the_bits_of_the_transposed_chain(self, rows):
         # the learned rules' direction (quadratic, LASSO) and step nets; the
         # coordinate nets read channel-major, F-ordered inputs
@@ -58,6 +59,17 @@ class TestForward:
                     assert first.tobytes() == want.tobytes()
                     assert net.forward(x).tobytes() == want.tobytes()
                 assert net.weights_t is None
+
+    @pytest.mark.parametrize("rows, blocks", [(40, 1), (400, 1), (401, 2), (1999, 5), (2000, 5), (4001, 11)])
+    def test_frozen_pass_runs_in_row_blocks_of_bounded_size(self, rows, blocks):
+        net = DenseNet.init([4, 64, 64, 64, 1], [True, True, True, False], np.random.default_rng(0))
+        with frozen_weights([net]):
+            assert net.forward(np.ones((rows, 4))).shape == (rows, 1)
+        edges = [start for start, _, _ in net.work[1]] + [rows]
+        assert len(edges) == blocks + 1 and all(edge % 16 == 0 for edge in edges[:-1])
+        for (start, stop, outs), end in zip(net.work[1], edges[1:]):
+            assert stop == end and (stop - start) * 64 <= _BLOCK_FLOATS + 15 * 64
+            assert [out.shape for out in outs] == [(stop - start, 64)] * 3
 
     def test_positive_homogeneity_in_active_region(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,6 +93,14 @@ BAD_SECTIONS = [
     # quadratic data ranges, which failed only in the data stage
     ("m_range", (2.0, 1.0)),
     ("L_range", (0.5, 1.0)),
+    # step sizes and guard factors that are not finite and > 0, which ran until a
+    # stage failed or reported an infeasible band
+    ("sgld", {"step0": -1.0}),
+    ("sgld", {"step0": float("inf")}),
+    ("locate", {"n_max": 600, "lr": -0.1}),
+    ("locate", {"n_max": 600, "guard_factor": -1.0}),
+    ("init", {"lr": float("nan")}),
+    ("init", {"guard_factor": 0.0}),
 ]
 
 
@@ -286,6 +295,17 @@ class TestPipeline:
         rerun = run_pipeline(tiny_config(), tmp_path, until="certificate")
         original = json.loads((out / "certificate.json").read_text())
         assert rerun == original
+
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_samples_record_is_what_its_artifact_reads_computed_or_reused(self, tmp_path, n_samples):
+        cfg = tiny_config(sgld={"n_samples": n_samples, "thinning": 1, "run_length": 10, "target_len": 10})
+        computed = run_pipeline(cfg, tmp_path, until="samples")
+        stored = json.loads((tmp_path / "samples.json").read_text())
+        # the stage writes its points from arrays, and returns them as lists
+        assert [type(point) for point in computed["points"]] == [list] * n_samples
+        assert computed == stored
+        assert run_pipeline(cfg, tmp_path, until="samples") == stored
+        json.dumps(_summary(computed))  # what the CLI prints
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ValueError):
@@ -566,6 +586,34 @@ class TestArtifactEncoding:
         path = tmp_path / "a.json"
         pipeline._dump_json(path, obj)
         assert path.read_text() == json.dumps(obj)
+
+    def test_float_arrays_are_written_as_their_lists(self, tmp_path):
+        # lengths around the slice that one json.dumps call encodes, and the floats it names
+        n = pipeline._JSON_FLOATS
+        rng = np.random.default_rng(0)
+        points = [rng.normal(size=size) for size in (0, 1, n - 1, n, n + 1, 3 * n)]
+        points.append(np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]))
+        record = {"points": points, "estimates": [0.5] * len(points), "config_hash": "abc"}
+        pipeline._dump_json(tmp_path / "a.json", record)
+        assert (tmp_path / "a.json").read_text() == json.dumps({**record, "points": [p.tolist() for p in points]})
+
+    @pytest.mark.parametrize("n_points", [2, 20])
+    def test_lasso_sized_samples_are_written_in_bounded_memory(self, tmp_path, n_points):
+        points = [np.random.default_rng(i).normal(size=25_409) for i in range(n_points)]
+        record = {"points": points, "estimates": [0.99] * n_points, "config_hash": "abc"}
+        tracemalloc.start()
+        try:
+            one_list = points[0].tolist()
+            list_bytes = tracemalloc.get_traced_memory()[0]
+            del one_list
+            tracemalloc.reset_peak()
+            pipeline._dump_json(tmp_path / "samples.json", record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * list_bytes
+        expected = json.dumps({**record, "points": [p.tolist() for p in points]})
+        assert (tmp_path / "samples.json").read_text() == expected
 
     def test_stage_artifacts_reencode_to_their_bytes(self, tmp_path):
         run_pipeline(tiny_config(), tmp_path, until="samples")

@@ -143,9 +143,9 @@ class TestFindInitialization:
         assert not res.converged
 
     def test_diverging_last_iteration_stops_at_the_cap(self):
-        # guard_factor 0 trips the divergence guard on every iteration
+        # guard_factor 1e-300 trips the divergence guard on every iteration
         algo = _RecordingAlgo(0.8)
-        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=3, guard_factor=0.0)
+        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=3, guard_factor=1e-300)
         find_initialization(algo, _ScriptedAlgo(0.3), [None], np.array([1.0]), cfg,
                             np.random.default_rng(0))
         assert len(algo.starts) == 3
@@ -235,9 +235,9 @@ class _EverySecondNanAlgo(_ScriptedAlgo):
 
 
 def _guard_run(algo, x0, guard_factor, n_max):
-    # lr 0 keeps alpha fixed, no constraint check runs, and the Bernoulli
-    # restart is practically off, so only the divergence guard restarts
-    cfg = LocateConfig(n_max=n_max, check_every=n_max + 1, lr=0.0, target_len=10**12,
+    # lr 1e-300 moves alpha by less than its last bit, no constraint check runs,
+    # and the Bernoulli restart is practically off, so only the divergence guard restarts
+    cfg = LocateConfig(n_max=n_max, check_every=n_max + 1, lr=1e-300, target_len=10**12,
                        guard_factor=guard_factor)
     with np.errstate(over="ignore", invalid="ignore"):
         locate_prior(algo, [None], [None], np.array([x0]), SublevelSpec(), cfg,
