@@ -549,7 +549,7 @@ class LassoLearnedAlgo(_Learned, _Lasso):
         g_s = float(tape.direction[0] @ g_xt)
         g_d = tape.step_size[0] * g_xt
         arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
-        arch.step_net.backward(tape.step_tape, np.array([g_s]), input_grad=False)
+        arch.step_net.backward(tape.step_tape, np.array([[g_s]]), input_grad=False)
         arch.grads[-1] = g_prox_tau
         return arch.grads.copy()
 
@@ -584,21 +584,20 @@ class IstaAlgo(_Lasso):
 
 
 def ratio_step(algo, state, inst, l0=None):
-    """One training step's pieces: next state, loss ratio, hypergradient, next loss.
+    """One training step's pieces: next state, hypergradient of the loss ratio, next loss.
 
     ``l0`` is the loss at ``state`` when the caller already has it (it is
     computed otherwise); the returned loss at the next state is the ``l0``
-    of the step after it.  The ratio and the hypergradient are None when
-    the denominator is zero (term dropped).
+    of the step after it.  The hypergradient is None when the denominator
+    ``l0`` is zero (term dropped).
     """
     if l0 is None:
         l0 = algo.loss(state.x_curr, inst)
     next_state, tape = algo.step_with_tape(state, inst)
     l1 = algo.loss(next_state.x_curr, inst)
     if l0 <= 0.0:
-        return next_state, None, None, l1
-    out_grad = algo.loss_grad(next_state.x_curr, inst) / l0
-    return next_state, l1 / l0, algo.step_backward(tape, out_grad), l1
+        return next_state, None, l1
+    return next_state, algo.step_backward(tape, algo.loss_grad(next_state.x_curr, inst) / l0), l1
 
 
 def grad_train_loss_onestep(algo, state, inst) -> np.ndarray:
@@ -607,7 +606,7 @@ def grad_train_loss_onestep(algo, state, inst) -> np.ndarray:
     Raises ZeroLossError on a zero denominator; callers skip the term, matching
     the indicator in the ratio training loss.
     """
-    _, ratio, grad, _ = ratio_step(algo, state, inst)
-    if ratio is None:
+    _, grad, _ = ratio_step(algo, state, inst)
+    if grad is None:
         raise ZeroLossError("loss at the current iterate is zero")
     return grad

@@ -14,7 +14,8 @@ weight matrix is a reshaped view into it; the gradients of the last
 backward pass live in a vector ``grads`` of the same layout, and
 ``pack_params`` lays several nets out in one pair of vectors.  ``get_flat``
 returns a copy of the parameters and ``set_flat`` copies into them, so the
-model never aliases a caller's array.
+model never aliases a caller's array; ``adam_step`` updates the vector it is
+given in place, so the training loops hand it ``params`` itself.
 """
 
 from __future__ import annotations
@@ -138,18 +139,16 @@ class DenseNet(FlatParams):
         return GradTape(inputs=inputs, pre_acts=pre_acts, masks=masks, grads=grads)
 
     def forward(self, x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
-        """Forward pass; accepts a vector or a (batch, in_dim) matrix.
+        """Forward pass of a (rows, in_dim) matrix.
 
         Without a tape no layer inputs are kept and the rectifiers work in
         place; the output is a fresh array.  With one (from ``new_tape`` for
         this many rows) every layer writes into its buffers, and the output
         returned is a view of the tape, valid until its next pass.
         """
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        H = x[None, :] if squeeze else x
-        if H.shape[1] != self.in_dim:
-            raise ValueError(f"input dim {H.shape[1]} != net in-dim {self.in_dim}")
+        H = np.asarray(x, dtype=float)
+        if H.ndim != 2 or H.shape[1] != self.in_dim:
+            raise ValueError(f"input shape {H.shape} is not (rows, {self.in_dim})")
         if tape is None:
             # one row keeps W.T: numpy takes the gemv path there, where a
             # contiguous operand changes the bits
@@ -168,7 +167,7 @@ class DenseNet(FlatParams):
                 if act:
                     np.maximum(Z, 0.0, out=H_next)
                 H = H_next
-        return H[0] if squeeze else H
+        return H
 
     def _forward_frozen(self, H: np.ndarray) -> np.ndarray:
         """Untaped pass of the (rows, in_dim) ``H`` over ``weights_t``, in row blocks; the output is a fresh array.
@@ -202,17 +201,15 @@ class DenseNet(FlatParams):
     def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
         """Exact reverse-mode pass over the last taped ``forward``; rectifier subgradient at 0 is 0.
 
-        Writes the weight gradients into ``grads`` and returns the input
-        gradient (a view of the tape) and ``weight_grads``; the next pass
-        overwrites them.  With ``input_grad=False`` the first layer's
-        input-gradient product is skipped and None is returned in its place.
+        ``out_grad`` has the shape of the taped output.  Writes the weight
+        gradients into ``grads`` and returns the input gradient (a view of the
+        tape) and ``weight_grads``; the next pass overwrites them.  With
+        ``input_grad=False`` the first layer's input-gradient product is
+        skipped and None is returned in its place.
         """
         if len(tape.pre_acts) != len(self.weights):
             raise ValueError("tape does not match this net")
         G = np.asarray(out_grad, dtype=float)
-        squeeze = G.ndim == 1
-        if squeeze:
-            G = G[None, :]
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activation_mask[i]:
                 # a float mask: float x bool would cast the mask inside the ufunc
@@ -223,7 +220,7 @@ class DenseNet(FlatParams):
                 G = np.dot(G, self.weights[i], out=tape.grads[i])
         if not input_grad:
             return None, self.weight_grads
-        return (G[0] if squeeze else G), self.weight_grads
+        return G, self.weight_grads
 
 
 @contextmanager
@@ -285,16 +282,15 @@ class AdamState:
         return cls(first_moment=np.zeros(dim), second_moment=np.zeros(dim), lr=lr)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One Adam update of ``params`` in place; returns the params and the mutated state.
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One Adam update of the float vector ``params``, in place; the moments in ``state`` too.
 
-    The operations are those of the textbook update, in the same order, so
-    the result is bit-identical to ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+    The training loops pass a model's own ``params``.  The operations are
+    those of the textbook update, in the same order, so the result is
+    bit-identical to ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
     ``grads`` is overwritten: once the moments are updated it is the second
     scratch buffer.
     """
-    params = np.asarray(params, dtype=float)
-    grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError("params/grads/state length mismatch")
     if state.scratch is None:
@@ -325,4 +321,3 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[
     np.add(s2, EPS_HAT, out=s2)
     np.divide(s1, s2, out=s1)
     np.subtract(params, s1, out=params)
-    return params, state

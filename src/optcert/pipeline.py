@@ -170,7 +170,7 @@ def _probe_arch(algo, instances, x0, rng):
     for _ in range(_PROBE_TRIES):
         state = algo.init_state(x0)
         inst = instances[rng.integers(len(instances))]
-        _, _, g, _ = ratio_step(algo, state, inst)
+        _, g, _ = ratio_step(algo, state, inst)
         if g is not None and np.any(g != 0.0) and np.all(np.isfinite(g)):
             return
         algo.reinit(rng)

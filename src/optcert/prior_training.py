@@ -121,8 +121,14 @@ def _finite_sq_norm(grad: np.ndarray) -> float | None:
 def _clip(grad: np.ndarray, sq_norm: float) -> np.ndarray:
     """Scales ``grad`` in place to unit norm when it is longer; returns it.
 
-    ``sq_norm`` is ``grad @ grad``, from ``_finite_sq_norm``.
+    ``sq_norm`` is ``grad @ grad``, from ``_finite_sq_norm``.  When that
+    overflowed, ``grad`` is first divided by its largest magnitude, so the
+    squares stay finite; a finite ``sq_norm`` takes the bits of
+    ``np.linalg.norm``.
     """
+    if sq_norm == math.inf:
+        grad /= np.max(np.abs(grad))
+        sq_norm = float(grad @ grad)
     norm = math.sqrt(sq_norm)
     if norm > 1.0:
         grad *= 1.0 / norm
@@ -179,8 +185,8 @@ def _segment_updates(traj: _Trajectory, s: int):
     loss = traj.loss
     grad = None
     for _ in range(s):
-        state, ratio, g, loss = ratio_step(traj.algo, state, traj.inst, loss)
-        if ratio is not None:
+        state, g, loss = ratio_step(traj.algo, state, traj.inst, loss)
+        if g is not None:
             grad = g if grad is None else grad + g
     if grad is None:
         grad = np.zeros(traj.algo.num_params)
@@ -222,8 +228,7 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         held += 1
         sq_norm = _finite_sq_norm(grad)
         if sq_norm is not None:
-            new_flat, adam = adam_step(adam, algo.get_flat(), _clip(grad, sq_norm))
-            algo.set_flat(new_flat)
+            adam_step(adam, algo.params, _clip(grad, sq_norm))
             if adam.step_count % cfg.decay_every == 0:
                 adam.lr *= 0.5
         state = algo.init_state(start)
@@ -312,8 +317,7 @@ def locate_prior(
         # a diverged segment restarts the trajectory and keeps the parameters
         restart = sq_norm is None or _diverged(final_loss, traj.base_loss, cfg.guard_factor)
         if not restart:
-            proposal, adam = adam_step(adam, algo.get_flat(), _clip(grad, sq_norm))
-            algo.set_flat(proposal)
+            adam_step(adam, algo.params, _clip(grad, sq_norm))
         if i % cfg.check_every == 0:
             res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
             if spec.admits(res):

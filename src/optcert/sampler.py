@@ -50,19 +50,14 @@ class SampleSet:
     """Collected hyperparameter vectors with their estimated probabilities.
 
     ``val_losses`` holds, per point, the validation rollout matrix its
-    estimate was drawn from.  It lives in memory only: ``to_dict`` leaves it
-    out, and a set read back with ``from_dict`` has None there.
+    estimate was drawn from.  It lives in memory only: the samples artifact
+    holds the points and estimates, and a set read back with ``from_dict``
+    has None there.
     """
 
     points: list  # list of 1-d arrays
     estimates: list  # matching sublevel probability estimates
     val_losses: list | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "points": [p.tolist() for p in self.points],
-            "estimates": list(map(float, self.estimates)),
-        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SampleSet":
@@ -103,10 +98,10 @@ def constrained_sample(
     """
     x0 = np.asarray(x0, dtype=float)
     first = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
-    points = [algo.get_flat()]
+    current = algo.get_flat()  # never written in place: a proposal is a new array
+    points = [current]
     estimates = [first.point_estimate]
     val_losses = [first.losses]
-    current = algo.get_flat()
     traj = _Trajectory(algo, prior_data, x0, cfg, rng)
     accepted_since_collect = 0
     rejected_streak = 0

@@ -190,8 +190,8 @@ class TestLearnedQuadStep:
         n1 = np.log1p(abs(g[0]))
         d2 = np.array([1.0])
         n2 = np.log1p(1.0)
-        dir_out = algo.arch.direction_net.forward(np.array([d1[0], d2[0], d1[0] * d2[0]]))
-        s_out = algo.arch.step_net.forward(np.array([n1, n2]))
+        dir_out = algo.arch.direction_net.forward(np.array([[d1[0], d2[0], d1[0] * d2[0]]]))[0]
+        s_out = algo.arch.step_net.forward(np.array([[n1, n2]]))[0]
         expected = x + s_out[0] * dir_out
         nxt = algo.step(st, inst)
         np.testing.assert_allclose(nxt.x_curr, expected)
@@ -295,8 +295,8 @@ class TestHypergradient:
         algo = make_quad_algo(1)
         inst = quad([1.0], [1.0])
         st = AlgoState(x_curr=np.array([1.0]), x_prev=np.array([1.0]))
-        _, ratio, g, _ = ratio_step(algo, st, inst)
-        assert ratio is None and g is None
+        _, g, l1 = ratio_step(algo, st, inst)
+        assert g is None and l1 == algo.loss(algo.step(st, inst).x_curr, inst)
 
     def test_dead_rectifier_weights_have_zero_grad(self):
         # weights feeding a fully dead unit receive zero gradient
@@ -590,10 +590,9 @@ class TestCarriedLoss:
                 computed = ratio_step(algo, state, inst)
                 passed = ratio_step(algo, state, inst, algo.loss(state.x_curr, inst) if loss is None else loss)
                 assert computed[0].x_curr.tobytes() == passed[0].x_curr.tobytes()
-                assert computed[1] == passed[1]
-                assert computed[2].tobytes() == passed[2].tobytes()
-                assert computed[3] == passed[3] == algo.loss(computed[0].x_curr, inst)
-                state, loss = passed[0], passed[3]
+                assert computed[1].tobytes() == passed[1].tobytes()
+                assert computed[2] == passed[2] == algo.loss(computed[0].x_curr, inst)
+                state, loss = passed[0], passed[2]
 
 
 class TestBaselineFixtures:

@@ -13,20 +13,25 @@ def make_net(weights, mask):
 class TestForward:
     def test_zero_weights_zero_output(self):
         net = make_net([np.zeros((4, 3)), np.zeros((1, 4))], [True, False])
-        out = net.forward(np.ones(3))
-        np.testing.assert_array_equal(out, [0.0])
+        out = net.forward(np.ones((1, 3)))
+        np.testing.assert_array_equal(out, [[0.0]])
 
     def test_single_linear_layer(self):
         net = make_net([[[2.5]]], [False])
-        out = net.forward(np.array([3.0]))
-        assert out[0] == 7.5
+        out = net.forward(np.array([[3.0]]))
+        assert out[0, 0] == 7.5
 
     def test_rectifier_kills_negative(self):
         net = make_net([[[2.0]], [[3.0]]], [True, False])
-        out = net.forward(np.array([-1.0]))
-        assert out[0] == 0.0
-        out = net.forward(np.array([1.0]))
-        assert out[0] == 6.0
+        out = net.forward(np.array([[-1.0]]))
+        assert out[0, 0] == 0.0
+        out = net.forward(np.array([[1.0]]))
+        assert out[0, 0] == 6.0
+
+    def test_vector_input_is_refused(self):
+        net = make_net([[[2.0, 1.0]]], [False])
+        with pytest.raises(ValueError, match=r"input shape \(2,\) is not \(rows, 2\)"):
+            net.forward(np.ones(2))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(0)
@@ -34,8 +39,8 @@ class TestForward:
         batch = rng.normal(size=(7, 3))
         out = net.forward(batch)
         for i in range(7):
-            single = net.forward(batch[i])
-            np.testing.assert_allclose(out[i], single)
+            single = net.forward(batch[i: i + 1])
+            np.testing.assert_allclose(out[i], single[0])
 
     # one row block, exact multiples of a block and remainders, at widths 64, 16 and 8
     @pytest.mark.parametrize("rows", [1, 40, 399, 400, 401, 1000, 1600, 1601, 1999, 2000, 4001])
@@ -74,7 +79,7 @@ class TestForward:
     def test_positive_homogeneity_in_active_region(self):
         rng = np.random.default_rng(3)
         net = DenseNet.init([2, 4, 1], [True, False], rng)
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         o1 = net.forward(x)
         o2 = net.forward(2.0 * x)
         np.testing.assert_allclose(o2, 2.0 * o1, rtol=1e-12)
@@ -85,18 +90,18 @@ class TestBackward:
         rng = np.random.default_rng(1)
         net = DenseNet.init([3, 4, 1], [True, False], rng)
         tape = net.new_tape(1)
-        net.forward(rng.normal(size=3), tape)
-        in_g, w_g = net.backward(tape, np.zeros(1))
-        np.testing.assert_array_equal(in_g, np.zeros(3))
+        net.forward(rng.normal(size=(1, 3)), tape)
+        in_g, w_g = net.backward(tape, np.zeros((1, 1)))
+        np.testing.assert_array_equal(in_g, np.zeros((1, 3)))
         for g in w_g:
             assert not np.any(g)
 
     def test_linear_layer_weight_grad_is_outer_product(self):
         net = make_net([np.zeros((2, 3))], [False])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         tape = net.new_tape(1)
         net.forward(x, tape)
-        out_grad = np.array([1.0, -1.0])
+        out_grad = np.array([[1.0, -1.0]])
         _, w_g = net.backward(tape, out_grad)
         np.testing.assert_allclose(w_g[0], np.outer(out_grad, x))
 
@@ -104,8 +109,8 @@ class TestBackward:
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         net = DenseNet.init([3, 6, 6, 1], [True, True, False], rng)
-        x = rng.normal(size=3)
-        out_grad = np.array([1.0])
+        x = rng.normal(size=(1, 3))
+        out_grad = np.ones((1, 1))
         tape = net.new_tape(1)
         net.forward(x, tape)
         in_g, w_g = net.backward(tape, out_grad)
@@ -116,28 +121,28 @@ class TestBackward:
             net.set_flat(flat)
             out = net.forward(x)
             net.set_flat(saved)
-            return float(out[0])
+            return float(out[0, 0])
 
         fd_w = finite_diff(f_weights, net.get_flat(), h=1e-6)
         np.testing.assert_allclose(flat_g, fd_w, rtol=1e-5, atol=1e-7)
 
         def f_input(xx):
-            out = net.forward(xx)
-            return float(out[0])
+            out = net.forward(xx[None, :])
+            return float(out[0, 0])
 
-        fd_x = finite_diff(f_input, x, h=1e-6)
-        np.testing.assert_allclose(in_g, fd_x, rtol=1e-5, atol=1e-7)
+        fd_x = finite_diff(f_input, x[0], h=1e-6)
+        np.testing.assert_allclose(in_g[0], fd_x, rtol=1e-5, atol=1e-7)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         net = DenseNet.init([2, 3, 1], [True, False], rng)
-        x = np.array([0.4, -0.7])
+        x = np.array([[0.4, -0.7]])
         t1, t2 = net.new_tape(1), net.new_tape(1)
         o1 = net.forward(x, t1)
         o2 = net.forward(x, t2)
         np.testing.assert_array_equal(o1, o2)
-        g1 = net.backward(t1, np.ones(1))
-        g2 = net.backward(t2, np.ones(1))
+        g1 = net.backward(t1, np.ones((1, 1)))
+        g2 = net.backward(t2, np.ones((1, 1)))
         np.testing.assert_array_equal(g1[0], g2[0])
 
     def test_weight_gradients_are_views_of_grads(self):
@@ -177,7 +182,7 @@ class TestInit:
         net = DenseNet.init([3, 4, 2], [True, False], rng)
         flat = rng.normal(size=net.num_params)
         net.set_flat(flat)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         before = net.forward(x)
         flat[:] = 0.0
         after = net.forward(x)
@@ -212,15 +217,16 @@ class TestAdam:
     def test_zero_grad_zero_moments_unchanged(self):
         st = AdamState.zeros(3, lr=0.1)
         p = np.array([1.0, 2.0, 3.0])
-        new, st = adam_step(st, p.copy(), np.zeros(3))
+        new = p.copy()
+        adam_step(st, new, np.zeros(3))
         np.testing.assert_array_equal(new, p)
 
     def test_first_step_decreases_by_lr(self):
         st = AdamState.zeros(2, lr=0.05)
         p = np.zeros(2)
-        new, st = adam_step(st, p, np.array([1.0, 2.0]))
+        adam_step(st, p, np.array([1.0, 2.0]))
         # bias-corrected ratio is 1 at t=1, so the move is about -lr
-        np.testing.assert_allclose(new, [-0.05, -0.05], rtol=1e-6)
+        np.testing.assert_allclose(p, [-0.05, -0.05], rtol=1e-6)
 
     # 400 steps pass t = 350, from where 1 - 0.9**t rounds to 1.0
     @pytest.mark.parametrize("steps", [12, 400])
@@ -235,8 +241,7 @@ class TestAdam:
             m = 0.9 * m + (1 - 0.9) * g
             v = 0.999 * v + (1 - 0.999) * g**2
             ref = ref - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-            out, st = adam_step(st, params, g)
-            assert out is params and st.step_count == t
+            assert adam_step(st, params, g) is None and st.step_count == t
             assert params.tobytes() == ref.tobytes()
             assert st.first_moment.tobytes() == m.tobytes()
             assert st.second_moment.tobytes() == v.tobytes()

@@ -175,17 +175,17 @@ class _ScriptedAlgo:
     """
 
     def __init__(self, alpha):
-        self.alpha = np.array([alpha], dtype=float)
+        self.params = np.array([alpha], dtype=float)  # the loops' Adam step updates it in place
 
     @property
     def num_params(self):
         return 1
 
     def get_flat(self):
-        return self.alpha.copy()
+        return self.params.copy()
 
     def set_flat(self, flat):
-        self.alpha = np.asarray(flat, dtype=float).copy()
+        self.params[...] = flat
 
     def init_state(self, x0):
         x0 = np.asarray(x0, dtype=float)
@@ -195,7 +195,7 @@ class _ScriptedAlgo:
         return float(x @ x)
 
     def step(self, state, inst):
-        x = (1.0 - self.alpha[0]) * state.x_curr
+        x = (1.0 - self.params[0]) * state.x_curr
         return AlgoState(x_curr=x, x_prev=state.x_curr)
 
     def step_with_tape(self, state, inst):
@@ -258,6 +258,39 @@ class TestDivergenceGuard:
         starts = _guard_run(_RecordingAlgo(3.0), 1e150, 1e300, 28)
         one_run = [1e150 * (-2.0) ** k for k in range(14)]
         assert starts == one_run * 2
+
+
+
+class _HugeGradAlgo(_ScriptedAlgo):
+    """The toy rule with a finite hypergradient whose square overflows."""
+
+    def step_backward(self, tape, out_grad):
+        return np.array([1e200])
+
+
+class TestClip:
+    def test_overflowing_square_clips_to_unit_norm(self):
+        grad = np.full(4, 1e200)
+        with np.errstate(over="ignore"):
+            sq_norm = prior_training._finite_sq_norm(grad)
+        assert sq_norm == np.inf
+        np.testing.assert_array_equal(prior_training._clip(grad, sq_norm), [0.5] * 4)
+
+    def test_finite_norm_keeps_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(0)
+        for grad in (rng.normal(size=257) * 1e100, rng.normal(size=257) * 1e-3):
+            want = grad * (1.0 / np.linalg.norm(grad)) if np.linalg.norm(grad) > 1.0 else grad.copy()
+            got = prior_training._clip(grad.copy(), prior_training._finite_sq_norm(grad))
+            assert got.tobytes() == want.tobytes()
+
+    def test_locate_takes_a_unit_step_on_an_overflowing_gradient(self):
+        # Adam's first step on a unit gradient moves alpha by lr; a zero one would not move it
+        algo = _HugeGradAlgo(0.5)
+        cfg = LocateConfig(n_max=1, check_every=2, lr=0.1)
+        with np.errstate(over="ignore"):
+            locate_prior(algo, [None], [None], np.array([1.0]), SublevelSpec(), cfg,
+                         np.random.default_rng(0))
+        assert algo.params[0] == pytest.approx(0.4)
 
 
 class TestLocatePrior:
