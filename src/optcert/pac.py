@@ -120,19 +120,6 @@ class PacCertificate:
     emp_risk: float  # posterior mean of the empirical sublevel risk
     emp_second: float  # posterior mean of the second-moment statistic
 
-    def to_dict(self, **extra) -> dict:
-        obj = {
-            "lambda_star": self.lambda_star,
-            "bound": self.bound,
-            "kl": self.kl,
-            "weights": self.posterior.weights.tolist(),
-            "point_estimate": self.point_index,
-            "emp_risk": self.emp_risk,
-            "emp_second": self.emp_second,
-        }
-        obj.update(extra)
-        return obj
-
 
 def sublevel_risk(losses: np.ndarray, spec: SublevelSpec, p_hat: float) -> tuple[float, float]:
     """Plug-in conditional risk and second-moment term from a (N, k+1) rollout loss matrix.

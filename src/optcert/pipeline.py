@@ -72,11 +72,8 @@ __all__ = [
     "ConstraintNotFoundError",
     "StageError",
     "StaleArtifactError",
-    "EvaluationReport",
     "run_pipeline",
     "run_stage",
-    "evaluate",
-    "emit_plot_data",
 ]
 
 
@@ -217,20 +214,30 @@ def _as_read(record: dict) -> dict:
             if isinstance(value, list) else value for key, value in record.items()}
 
 
-def _dump_json(path: Path, record: dict) -> None:
-    """Write the stage ``record`` atomically: a temporary file in the same directory, then a rename.
+def _write_atomically(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file in ``path``'s directory, then rename it to ``path``.
 
     A failure or a kill part-way leaves no ``path`` behind, so the next run
     recomputes the stage instead of reading a truncated artifact.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            _write_json(fh, record)
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dump_json(path: Path, record: dict) -> None:
+    """Write the stage ``record`` atomically."""
+    _write_atomically(path, lambda fh: _write_json(fh, record))
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows`` atomically as a CSV file."""
+    _write_atomically(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def _vector(a) -> dict:
@@ -267,23 +274,6 @@ def run_stage(name: str, out_dir: Path, compute):
     return result
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    learned_losses: np.ndarray  # (n_test, k+1)
-    baseline_losses: np.ndarray
-    learned_cumtime: np.ndarray  # cumulative seconds per iteration
-    baseline_cumtime: np.ndarray
-    bound: float
-    sublevel_counts: tuple  # Beta posterior (a, b) on the test split
-    sublevel_point: float
-
-    def percentiles(self, which: str = "learned") -> dict:
-        losses = self.learned_losses if which == "learned" else self.baseline_losses
-        finite = np.where(np.isfinite(losses), losses, np.nan)
-        p10, p50, p90 = _column_percentiles(finite, (10, 50, 90))
-        return {"p10": p10, "p50": p50, "p90": p90, "mean": np.nanmean(finite, axis=0)}
-
-
 def _column_percentiles(x: np.ndarray, qs) -> np.ndarray:
     """The bytes of ``np.nanpercentile(x, qs, axis=0)``, without importing ``numpy.ma``.
 
@@ -315,65 +305,6 @@ def _run_losses(algo, instances, x0, k: int):
     for r in range(_TIMING_REPEATS):
         losses = rollout(algo, instances, x0, k, step_seconds=times[r])
     return losses, np.cumsum(np.sort(times, axis=0)[_TIMING_REPEATS // 2])
-
-
-def evaluate(
-    learned,
-    baseline,
-    test_data,
-    x0,
-    k: int,
-    bound: float,
-    spec: SublevelSpec,
-    rng: np.random.Generator,
-) -> EvaluationReport:
-    learned_losses, learned_ct = _run_losses(learned, test_data, x0, k)
-    baseline_losses, baseline_ct = _run_losses(baseline, test_data, x0, k)
-    res = estimate_from_rollout(learned_losses, spec, rng)
-    return EvaluationReport(
-        learned_losses=learned_losses,
-        baseline_losses=baseline_losses,
-        learned_cumtime=learned_ct,
-        baseline_cumtime=baseline_ct,
-        bound=bound,
-        sublevel_counts=(res.posterior.count_a, res.posterior.count_b),
-        sublevel_point=res.point_estimate,
-    )
-
-
-def emit_plot_data(report: EvaluationReport, out_dir: Path) -> None:
-    out_dir = Path(out_dir)
-    k = report.learned_losses.shape[1] - 1
-    lp = report.percentiles("learned")
-    bp = report.percentiles("baseline")
-    with open(out_dir / "loss_curves.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["iteration"]
-            + [f"learned_{s}" for s in ("p10", "p50", "p90", "mean")]
-            + [f"baseline_{s}" for s in ("p10", "p50", "p90", "mean")]
-        )
-        for i in range(k + 1):
-            w.writerow(
-                [i]
-                + [lp[s][i] for s in ("p10", "p50", "p90", "mean")]
-                + [bp[s][i] for s in ("p10", "p50", "p90", "mean")]
-            )
-    with open(out_dir / "histogram.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bound", report.bound])
-        w.writerow(["learned_final", "baseline_final"])
-        for a, b in zip(report.learned_losses[:, -1], report.baseline_losses[:, -1]):
-            w.writerow([a, b])
-    with open(out_dir / "cumtime.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "learned_cumtime", "baseline_cumtime"])
-        for i in range(k):
-            w.writerow([i + 1, report.learned_cumtime[i], report.baseline_cumtime[i]])
-    with open(out_dir / "sublevel_posterior.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["count_a", "count_b", "point_estimate"])
-        w.writerow([*report.sublevel_counts, report.sublevel_point])
 
 
 def _stage_data(run):
@@ -457,7 +388,8 @@ def _stage_sample(run):
 
 
 def _load_samples(run, record):
-    run.samples = SampleSet.from_dict(record)  # without the validation matrices
+    run.samples = SampleSet(points=[np.asarray(p, dtype=float) for p in record["points"]],
+                            estimates=record["estimates"])
 
 
 def _stage_certify(run):
@@ -473,11 +405,18 @@ def _stage_certify(run):
     point_alpha = np.asarray(run.samples.points[kept[cert.point_index]], dtype=float)
     run.learned.set_flat(point_alpha)
     run.bound = cert.bound
-    return cert.to_dict(
-        kept_indices=kept.tolist(),
-        p_hats=p_hats.tolist(),
-        point_alpha=_vector(point_alpha),
-    )
+    return {
+        "lambda_star": cert.lambda_star,
+        "bound": cert.bound,
+        "kl": cert.kl,
+        "weights": cert.posterior.weights.tolist(),
+        "point_estimate": cert.point_index,
+        "emp_risk": cert.emp_risk,
+        "emp_second": cert.emp_second,
+        "kept_indices": kept.tolist(),
+        "p_hats": p_hats.tolist(),
+        "point_alpha": _vector(point_alpha),
+    }
 
 
 def _load_certificate(run, record):
@@ -485,19 +424,39 @@ def _load_certificate(run, record):
     run.bound = record["bound"]
 
 
+def _loss_summary(losses: np.ndarray) -> np.ndarray:
+    """The rows p10, p50, p90 and mean of each column of ``losses``, over its finite entries."""
+    finite = np.where(np.isfinite(losses), losses, np.nan)
+    return np.vstack([_column_percentiles(finite, (10, 50, 90)), np.nanmean(finite, axis=0)])
+
+
 def _stage_report(run):
-    report = evaluate(
-        run.learned, run.baseline, run.splits.test, run.x0, run.cfg.n_train,
-        run.bound, run.spec, run.rng,
-    )
-    emit_plot_data(report, run.out_dir)
-    lp = report.percentiles("learned")
-    bp = report.percentiles("baseline")
+    """Roll the learned and baseline rules out on the test split and write the four CSV files."""
+    k, out_dir = run.cfg.n_train, run.out_dir
+    learned, learned_time = _run_losses(run.learned, run.splits.test, run.x0, k)
+    baseline, baseline_time = _run_losses(run.baseline, run.splits.test, run.x0, k)
+    res = estimate_from_rollout(learned, run.spec, run.rng)
+    lp, bp = _loss_summary(learned), _loss_summary(baseline)
+    columns = ("p10", "p50", "p90", "mean")
+    _write_csv(out_dir / "loss_curves.csv", [
+        ["iteration", *(f"learned_{c}" for c in columns), *(f"baseline_{c}" for c in columns)],
+        *([i, *lp[:, i], *bp[:, i]] for i in range(k + 1)),
+    ])
+    _write_csv(out_dir / "histogram.csv", [
+        ["bound", run.bound], ["learned_final", "baseline_final"], *zip(learned[:, -1], baseline[:, -1]),
+    ])
+    _write_csv(out_dir / "cumtime.csv", [
+        ["iteration", "learned_cumtime", "baseline_cumtime"], *zip(range(1, k + 1), learned_time, baseline_time),
+    ])
+    _write_csv(out_dir / "sublevel_posterior.csv", [
+        ["count_a", "count_b", "point_estimate"],
+        [res.posterior.count_a, res.posterior.count_b, res.point_estimate],
+    ])
     return {
-        "learned_median_final": float(lp["p50"][-1]),
-        "baseline_median_final": float(bp["p50"][-1]),
-        "bound": report.bound,
-        "sublevel_point": report.sublevel_point,
+        "learned_median_final": float(lp[1, -1]),
+        "baseline_median_final": float(bp[1, -1]),
+        "bound": run.bound,
+        "sublevel_point": res.point_estimate,
     }
 
 

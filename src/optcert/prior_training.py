@@ -106,11 +106,13 @@ class StageConfig:
         _check_positive("init", lr=self.lr, guard_factor=self.guard_factor)
 
 
+@np.errstate(over="ignore")
 def _finite_sq_norm(grad: np.ndarray) -> float | None:
     """``grad @ grad``, or None when ``grad`` has a non-finite entry.
 
     A finite sum of squares means every entry is finite, so the entries are
     scanned only when the sum is not (an overflow, or a non-finite entry).
+    An overflow gives inf without a warning; ``_clip`` takes it.
     """
     sq = float(grad @ grad)
     if math.isfinite(sq) or np.all(np.isfinite(grad)):

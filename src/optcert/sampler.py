@@ -51,20 +51,13 @@ class SampleSet:
 
     ``val_losses`` holds, per point, the validation rollout matrix its
     estimate was drawn from.  It lives in memory only: the samples artifact
-    holds the points and estimates, and a set read back with ``from_dict``
-    has None there.
+    holds the points and estimates, and a set read back from it has None
+    there.
     """
 
     points: list  # list of 1-d arrays
     estimates: list  # matching sublevel probability estimates
     val_losses: list | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SampleSet":
-        return cls(
-            points=[np.asarray(p, dtype=float) for p in obj["points"]],
-            estimates=list(obj["estimates"]),
-        )
 
 
 def sgld_step(alpha: np.ndarray, grad: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:

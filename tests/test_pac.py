@@ -211,17 +211,6 @@ class TestCertify:
         with np.errstate(invalid="ignore"), pytest.raises(CertificateMismatchError):
             certify(prior, stats, PacConfig(grid_size=200))
 
-    def test_json_payload(self):
-        import json
-
-        prior = DiscreteMeasure(np.array([1.0]))
-        stats = SufficientStats(t1=np.array([-1.0]), t2=np.array([0.1]))
-        cert = certify(prior, stats, PacConfig())
-        obj = json.loads(json.dumps(cert.to_dict(config_hash="abc")))
-        assert obj["config_hash"] == "abc"
-        assert obj["bound"] == pytest.approx(cert.bound)
-        assert obj["weights"] == [1.0]
-
 
 class _FixedAlgo:
     """Jumps straight to a prescribed point after one step (for risk tests)."""

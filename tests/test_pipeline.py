@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,18 +165,14 @@ class TestExperimentConfig:
         assert cfg.hash() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class TestEvaluationReport:
-    def _report(self, losses):
-        return pipeline.EvaluationReport(
-            learned_losses=losses, baseline_losses=losses, learned_cumtime=None,
-            baseline_cumtime=None, bound=0.0, sublevel_counts=(1, 1), sublevel_point=0.5,
-        )
+class TestLossSummary:
+    """``_loss_summary`` has the rows p10, p50, p90 and mean of numpy's NaN-aware functions."""
 
     def test_percentiles_of_a_finite_matrix_have_the_nan_aware_bytes(self):
         losses = np.random.default_rng(0).lognormal(size=(50, 51))
-        got = self._report(losses).percentiles()
-        for key, q in (("p10", 10), ("p50", 50), ("p90", 90)):
-            assert got[key].tobytes() == np.nanpercentile(losses, q, axis=0).tobytes()
+        got = pipeline._loss_summary(losses)
+        for row, q in enumerate((10, 50, 90)):
+            assert got[row].tobytes() == np.nanpercentile(losses, q, axis=0).tobytes()
 
     @pytest.mark.filterwarnings("ignore:Mean of empty slice")  # the NaN column's mean
     @pytest.mark.parametrize("shape", [(50, 51), (1, 4), (2, 4), (7, 3)])
@@ -187,16 +184,14 @@ class TestEvaluationReport:
         finite = np.where(np.isfinite(losses), losses, np.nan)
         with pytest.warns(RuntimeWarning):  # numpy's all-NaN slice
             want = np.nanpercentile(finite, (10, 50, 90), axis=0)
-        got = self._report(losses).percentiles()
-        for i, key in enumerate(("p10", "p50", "p90")):
-            assert got[key].tobytes() == want[i].tobytes(), key
+        got = pipeline._loss_summary(losses)
+        for row in range(3):
+            assert got[row].tobytes() == want[row].tobytes(), row
 
     def test_non_finite_entries_are_excluded(self):
         losses = np.random.default_rng(1).lognormal(size=(20, 6))
         with_inf = np.vstack([losses, np.full(6, np.inf)])
-        got, want = self._report(with_inf).percentiles(), self._report(losses).percentiles()
-        for key in ("p10", "p50", "p90", "mean"):
-            assert got[key].tobytes() == want[key].tobytes()
+        assert pipeline._loss_summary(with_inf).tobytes() == pipeline._loss_summary(losses).tobytes()
 
 
 class TestRunStage:
@@ -242,6 +237,13 @@ class TestPipeline:
         assert weights.sum() == pytest.approx(1.0)
         assert len(cert["kept_indices"]) == len(weights)
 
+    def test_certificate_record_layout(self, completed_run):
+        out, _ = completed_run
+        cert = json.loads((out / "certificate.json").read_text())
+        assert list(cert) == ["lambda_star", "bound", "kl", "weights", "point_estimate", "emp_risk",
+                              "emp_second", "kept_indices", "p_hats", "point_alpha", "config_hash"]
+        assert cert["weights"] and all(type(w) is float for w in cert["weights"])
+
     def test_plot_files(self, completed_run):
         out, _ = completed_run
         import csv
@@ -277,8 +279,7 @@ class TestPipeline:
         out, record = completed_run
         run_pipeline(tiny_config(), tmp_path, until=stop)
         assert run_pipeline(tiny_config(), tmp_path, until="report") == record
-        for stage in STAGE_ORDER:
-            name = f"{stage}.json"
+        for name in [f"{stage}.json" for stage in STAGE_ORDER] + list(PLOT_FILES):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_every_artifact_carries_the_config_hash(self, completed_run):
@@ -306,6 +307,18 @@ class TestPipeline:
         assert computed == stored
         assert run_pipeline(cfg, tmp_path, until="samples") == stored
         json.dumps(_summary(computed))  # what the CLI prints
+
+    def test_reused_samples_load_as_float_points_without_matrices(self, completed_run):
+        out, _ = completed_run
+        record = json.loads((out / "samples.json").read_text())
+        run = SimpleNamespace()
+        pipeline._load_samples(run, record)
+        assert len(run.samples.points) == len(record["points"]) == 3
+        for point, stored in zip(run.samples.points, record["points"]):
+            assert isinstance(point, np.ndarray) and point.dtype == float
+            assert point.tolist() == stored
+        assert run.samples.estimates == record["estimates"]
+        assert run.samples.val_losses is None
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ValueError):
@@ -573,6 +586,40 @@ class TestAtomicArtifacts:
         rerun = run_pipeline(tiny_config(), tmp_path, until="certificate")
         out, _ = completed_run
         assert rerun == json.loads((out / "certificate.json").read_text())
+
+
+class TestAtomicPlotFiles:
+    def test_failed_csv_write_leaves_nothing_and_rerun_recomputes(self, completed_run, tmp_path, monkeypatch):
+        out, record = completed_run
+        for stage in STAGE_ORDER[:-1]:
+            shutil.copy(out / f"{stage}.json", tmp_path)
+        real_writer = pipeline.csv.writer
+
+        class FailingPartWay:
+            """A CSV writer that writes the first row of ``loss_curves.csv``, then raises."""
+
+            def __init__(self, fh):
+                self.writer, self.fails = real_writer(fh), "loss_curves.csv" in fh.name
+
+            def writerow(self, row):
+                self.writer.writerow(row)
+                if self.fails:
+                    raise OSError("simulated crash part-way")
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(pipeline.csv, "writer", FailingPartWay)
+        with pytest.raises(StageError):
+            run_pipeline(tiny_config(), tmp_path, until="report")
+        assert not (tmp_path / "loss_curves.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+        assert not list(tmp_path.glob(".*.tmp"))
+        monkeypatch.undo()
+        assert run_pipeline(tiny_config(), tmp_path, until="report") == record
+        for name in ("report.json",) + PLOT_FILES:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestArtifactEncoding:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -271,8 +272,7 @@ class _HugeGradAlgo(_ScriptedAlgo):
 class TestClip:
     def test_overflowing_square_clips_to_unit_norm(self):
         grad = np.full(4, 1e200)
-        with np.errstate(over="ignore"):
-            sq_norm = prior_training._finite_sq_norm(grad)
+        sq_norm = prior_training._finite_sq_norm(grad)
         assert sq_norm == np.inf
         np.testing.assert_array_equal(prior_training._clip(grad, sq_norm), [0.5] * 4)
 
@@ -287,10 +287,16 @@ class TestClip:
         # Adam's first step on a unit gradient moves alpha by lr; a zero one would not move it
         algo = _HugeGradAlgo(0.5)
         cfg = LocateConfig(n_max=1, check_every=2, lr=0.1)
-        with np.errstate(over="ignore"):
-            locate_prior(algo, [None], [None], np.array([1.0]), SublevelSpec(), cfg,
-                         np.random.default_rng(0))
+        locate_prior(algo, [None], [None], np.array([1.0]), SublevelSpec(), cfg, np.random.default_rng(0))
         assert algo.params[0] == pytest.approx(0.4)
+
+    def test_overflowing_square_records_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prior_training._finite_sq_norm(np.full(4, 1e200)) == np.inf
+            algo = _HugeGradAlgo(0.5)
+            locate_prior(algo, [None], [None], np.array([1.0]), SublevelSpec(),
+                         LocateConfig(n_max=1, check_every=2, lr=0.1), np.random.default_rng(0))
 
 
 class TestLocatePrior:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from optcert import sampler
 from optcert.algorithms import AlgoState, rollout
 from optcert.sampler import (
     NoFeasiblePointError,
-    SampleSet,
     SgldConfig,
     constrained_sample,
     sgld_step,
@@ -39,16 +36,6 @@ class TestSgldStep:
         step = 4e-2
         draws = np.array([sgld_step(np.zeros(1), np.zeros(1), step, rng)[0] for _ in range(100_000)])
         assert np.std(draws) == pytest.approx(np.sqrt(step), rel=0.02)
-
-
-class TestSampleSet:
-    def test_from_dict_reads_the_samples_record(self):
-        r = SampleSet.from_dict(json.loads('{"points": [[1.0, 2.0], [3.0, 4.0]], "estimates": [0.97, 0.99]}'))
-        assert len(r.points) == 2
-        np.testing.assert_array_equal(r.points[1], [3.0, 4.0])
-        assert r.points[1].dtype == float
-        assert r.estimates == [0.97, 0.99]
-        assert r.val_losses is None
 
 
 class _BandAlgo:
@@ -157,9 +144,6 @@ class TestConstrainedSample:
         for point, losses in zip(out.points, out.val_losses):
             algo.set_flat(point)
             assert losses.tobytes() == rollout(algo, val, self.x0, 10).tobytes()
-        # a set read back from the artifact's points and estimates has no matrices
-        record = {"points": [p.tolist() for p in out.points], "estimates": out.estimates}
-        assert SampleSet.from_dict(record).val_losses is None
 
 
 class _FlakyBandAlgo(_BandAlgo):
