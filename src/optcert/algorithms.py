@@ -6,7 +6,9 @@ a scalar step-size net over log-transformed norms, and, for LASSO, a
 sparsity net whose output gates the iterate before soft-thresholding with
 a learned prox parameter. Hypergradients through one update step are exact
 reverse-mode; the preprocessed inputs are treated as constants since they
-depend only on the previous iterates.
+depend only on the previous iterates.  A taped step fills the
+architecture's step tape and each net's own tape, and ``step_backward``
+reads both.
 
 Every update is written once, over rows: a step takes vector iterates with
 one instance, or (B, n) iterates with B instances stacked by
@@ -130,18 +132,16 @@ class _StepBuffers:
 
     ``channels`` is channel-major, (c, rows, n), so every channel is
     contiguous; the direction net reads its (rows * n, c) view ``dir_in``,
-    and the step net the (rows, c - 1) log norms ``norms``.  Taped, it holds
-    a tape per net, and ``direction`` (rows, n) and ``step_size`` (rows,)
-    are views of their outputs.
+    and the step net the (rows, c - 1) log norms ``norms``.  Each step sets
+    ``direction`` (rows, n) and ``step_size`` (rows,) from the nets'
+    outputs; taped, those are views of the nets' own tapes.
     """
 
-    def __init__(self, arch, rows: int, n: int, taped: bool, channels: int = 3):
+    def __init__(self, rows: int, n: int, channels: int = 3):
         self.shape = (rows, n)
         self.channels = np.empty((channels, rows, n))
         self.dir_in = self.channels.reshape(channels, rows * n).T
         self.norms = np.empty((rows, channels - 1))
-        self.dir_tape = arch.direction_net.new_tape(rows * n) if taped else None
-        self.step_tape = arch.step_net.new_tape(rows) if taped else None
         self.direction = self.step_size = None  # set by each step
 
 
@@ -150,7 +150,8 @@ class _LearnedArch:
 
     ``params`` and ``grads`` hold the weights of ``nets`` in order, then
     ``extra`` trailing entries.  ``tape`` is the step tape that every taped
-    step refills, ``work`` the buffers that every untaped step reuses.
+    step refills, beside the tapes of the nets, ``work`` the buffers that
+    every untaped step reuses.
     """
 
     buffer_type = _StepBuffers  # the class of the step buffers
@@ -163,12 +164,13 @@ class _LearnedArch:
     def buffers(self, rows: int, n: int, taped: bool):
         """The step buffers for (rows, n) iterates, reallocated only when that shape changes.
 
-        Taped steps refill ``tape``, so a tape is valid until the next taped
-        step; untaped steps reuse ``work`` and never touch the tape.
+        Taped steps refill ``tape`` and the nets' tapes, so a tape is valid
+        until the next taped step; untaped steps reuse ``work`` and never
+        touch a tape.
         """
         buffers = self.tape if taped else self.work
         if buffers is None or buffers.shape != (rows, n):
-            buffers = self.buffer_type(self, rows, n, taped)
+            buffers = self.buffer_type(rows, n)
             if taped:
                 self.tape = buffers
             else:
@@ -176,20 +178,22 @@ class _LearnedArch:
         return buffers
 
 
-def _direction_and_step(arch: _LearnedArch, t: _StepBuffers, grad, x: np.ndarray, x_prev: np.ndarray) -> None:
+def _direction_and_step(arch: _LearnedArch, t: _StepBuffers, grad, x: np.ndarray, x_prev: np.ndarray,
+                        taped: bool) -> None:
     """The front half of a learned step: channels 0-2 of ``t``, then the direction and step nets.
 
     Channel 0 holds the unit rows of ``grad``, channel 1 those of the
     momentum ``x - x_prev`` and channel 2 their product; their log norms are
     the step net's first two inputs.  Any further channel must be filled
-    before.  Sets ``t.direction`` (rows, n) and ``t.step_size`` (rows,).
+    before.  Sets ``t.direction`` (rows, n) and ``t.step_size`` (rows,);
+    ``taped`` passes fill the nets' tapes.
     """
     channels = t.channels
     _preprocess_into(grad, channels[0], t.norms[:, 0])
     _preprocess_into(x - x_prev, channels[1], t.norms[:, 1])
     np.multiply(channels[0], channels[1], out=channels[2])
-    t.direction = arch.direction_net.forward(t.dir_in, t.dir_tape).reshape(x.shape)
-    t.step_size = arch.step_net.forward(t.norms, t.step_tape)[:, 0]
+    t.direction = arch.direction_net.forward(t.dir_in, taped).reshape(x.shape)
+    t.step_size = arch.step_net.forward(t.norms, taped)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +245,16 @@ class _LassoStepBuffers(_StepBuffers):
 
     ``sp_in`` (3, rows, n) is channel-major like ``channels``; the sparsity
     net reads its (rows * n, 3) view ``sparse_in``, and ``x_tilde`` is its
-    first channel.  Taped, it also holds the sparsity net's tape; ``gated``
-    is ``z * x_tilde``, the input of the soft threshold ``thresh`` (prox_tau
-    * reg, one per row), and ``y`` its output.
+    first channel.  ``gated`` is ``z * x_tilde``, the input of the soft
+    threshold ``thresh`` (prox_tau * reg, one per row), and ``y`` its output.
     """
 
-    def __init__(self, arch, rows: int, n: int, taped: bool):
-        super().__init__(arch, rows, n, taped, channels=4)
+    def __init__(self, rows: int, n: int):
+        super().__init__(rows, n, channels=4)
         self.sp_in = np.empty((3, rows, n))
         self.sparse_in = self.sp_in.reshape(3, rows * n).T
         self.x_tilde = self.sp_in[0]
         self.z, self.gated, self.y = (np.empty((rows, n)) for _ in range(3))
-        self.sparse_tape = arch.sparsity_net.new_tape(rows * n) if taped else None
         self.thresh = self.reg = None  # set by each step
 
 
@@ -438,13 +440,14 @@ class QuadLearnedAlgo(_Learned, _Quadratic):
 
         The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
         norm rows.  Returns the next state and, when ``taped``, the
-        architecture's step tape, refilled by this step (else None).
+        architecture's step tape, refilled by this step with the nets' tapes
+        (else None).
         """
         arch = self.arch
         n = state.x_curr.shape[-1]
         x, x_prev = state.x_curr.reshape(-1, n), state.x_prev.reshape(-1, n)
         t = arch.buffers(len(x), n, taped)
-        _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev)
+        _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev, taped)
         x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
         return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if taped else None)
 
@@ -457,15 +460,16 @@ class QuadLearnedAlgo(_Learned, _Quadratic):
     def step_backward(self, tape: _StepBuffers, out_grad: np.ndarray) -> np.ndarray:
         """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
 
-        Each net writes its weight gradients into its slice of ``arch.grads``;
-        the result is a copy of that vector.
+        Each net runs back over its own tape of this step and writes its
+        weight gradients into its slice of ``arch.grads``; the result is a
+        copy of that vector.
         """
         arch = self.arch
         out_grad = out_grad.reshape(tape.direction.shape)
         g_s = row_dot(tape.direction, out_grad)
         g_d = tape.step_size[:, None] * out_grad
-        arch.direction_net.backward(tape.dir_tape, g_d.reshape(-1, 1), input_grad=False)
-        arch.step_net.backward(tape.step_tape, g_s[:, None], input_grad=False)
+        arch.direction_net.backward(g_d.reshape(-1, 1), input_grad=False)
+        arch.step_net.backward(g_s[:, None], input_grad=False)
         return arch.grads.copy()
 
     def loss_grad(self, x: np.ndarray, inst) -> np.ndarray:
@@ -487,8 +491,8 @@ class LassoLearnedAlgo(_Learned, _Lasso):
 
         The direction and sparsity nets see (B*n, c) coordinate rows and the
         step net (B, 3) norm rows.  Returns the next state and, when
-        ``taped``, the architecture's step tape, refilled by this step (else
-        None).
+        ``taped``, the architecture's step tape, refilled by this step with
+        the nets' tapes (else None).
         """
         arch = self.arch
         n = state.x_curr.shape[-1]
@@ -496,12 +500,12 @@ class LassoLearnedAlgo(_Learned, _Lasso):
         t = arch.buffers(len(x), n, taped)
         t.reg = reg = reg_column(inst)
         _preprocess_into(reg * np.sign(x), t.channels[3], t.norms[:, 2])
-        _direction_and_step(arch, t, subgrad_lasso(x, inst, self.ctx), x, x_prev)
+        _direction_and_step(arch, t, subgrad_lasso(x, inst, self.ctx), x, x_prev, taped)
         x_tilde = np.multiply(t.step_size[:, None], t.direction, out=t.x_tilde)
         np.add(x, x_tilde, out=x_tilde)
         t.sp_in[1] = x
         t.sp_in[2] = t.channels[3]
-        z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, t.sparse_tape).reshape(x.shape), out=t.z)
+        z = _sigmoid(arch.sparsity_net.forward(t.sparse_in, taped).reshape(x.shape), out=t.z)
         np.multiply(z, x_tilde, out=t.gated)
         t.thresh = arch.prox_tau * reg
         y = soft_threshold(t.gated, t.thresh, out=t.y)
@@ -520,9 +524,9 @@ class LassoLearnedAlgo(_Learned, _Lasso):
     def step_backward(self, tape: _LassoStepBuffers, out_grad: np.ndarray) -> np.ndarray:
         """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
 
-        Each net writes its weight gradients into its slice of ``arch.grads``,
-        whose last entry takes the ``prox_tau`` term; the result is a copy of
-        that vector.
+        Each net runs back over its own tape of this step and writes its
+        weight gradients into its slice of ``arch.grads``, whose last entry
+        takes the ``prox_tau`` term; the result is a copy of that vector.
         """
         arch = self.arch
         y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
@@ -543,13 +547,13 @@ class LassoLearnedAlgo(_Learned, _Lasso):
         g_prox_tau = -float((np.sign(gated) * active) @ g_y) * reg
         g_z = g_gated * x_tilde
         g_a = g_z * z * (1.0 - z)
-        g_sp_in, _ = arch.sparsity_net.backward(tape.sparse_tape, g_a[:, None])
+        g_sp_in = arch.sparsity_net.backward(g_a[:, None])
         g_xt = g_gated * z if g_norm is None else g_norm + g_gated * z
         g_xt = g_xt + g_sp_in[:, 0]
         g_s = float(tape.direction[0] @ g_xt)
         g_d = tape.step_size[0] * g_xt
-        arch.direction_net.backward(tape.dir_tape, g_d[:, None], input_grad=False)
-        arch.step_net.backward(tape.step_tape, np.array([[g_s]]), input_grad=False)
+        arch.direction_net.backward(g_d[:, None], input_grad=False)
+        arch.step_net.backward(np.array([[g_s]]), input_grad=False)
         arch.grads[-1] = g_prox_tau
         return arch.grads.copy()
 

@@ -1,8 +1,9 @@
 """Minimal dense linear algebra for the learned update rules.
 
 Bias-free feed-forward nets with rectified-linear activations, exact
-reverse-mode gradients via a reusable tape of preallocated buffers, and an
-Adam optimizer written in plain NumPy.
+reverse-mode gradients over a tape of preallocated buffers that each net
+owns and refills on every taped pass, and an Adam optimizer written in
+plain NumPy.
 
 Nets are applied to batches: an input of shape (batch, in_dim) is mapped
 through ``H @ W.T`` per layer, so a per-coordinate 1x1-convolution block is
@@ -28,7 +29,6 @@ import numpy as np
 __all__ = [
     "FlatParams",
     "DenseNet",
-    "GradTape",
     "AdamState",
     "pack_params",
     "frozen_weights",
@@ -55,24 +55,6 @@ class FlatParams:
         self.params[...] = flat
 
 
-@dataclass
-class GradTape:
-    """Buffers of a taped pass over a fixed number of rows; every taped ``forward`` refills them.
-
-    ``inputs[i]`` is layer i's input and ``inputs[-1]`` the net's output; a
-    linear layer's pre-activation is the next layer's input, the same array.
-    ``inputs[0]`` is the caller's array, not a copy.  ``masks`` (float
-    rectifier masks, None for a linear layer) and ``grads`` (``grads[i]`` has
-    layer i's input shape, ``grads[-1]`` the output shape) are the work
-    buffers of ``backward``.
-    """
-
-    inputs: list
-    pre_acts: list
-    masks: list
-    grads: list
-
-
 @dataclass(eq=False)
 class DenseNet(FlatParams):
     """Bias-free fully-connected net; ``activation_mask[i]`` rectifies layer i's output.
@@ -83,6 +65,15 @@ class DenseNet(FlatParams):
     ``weights[i].T``, else None.  ``work`` is (rows, blocks): for the last
     row count, each row block's (start, stop, outputs), the buffers of its
     hidden-layer outputs in the untaped passes over those copies.
+
+    ``tape`` is (inputs, pre_acts, masks, grads), the buffers of the last
+    taped pass, which every taped pass refills: ``inputs[i]`` is layer i's
+    input and ``inputs[-1]`` the output, where a linear layer's
+    pre-activation is the next layer's input, the same array, and
+    ``inputs[0]`` is the caller's array, not a copy.  ``masks`` (float
+    rectifier masks, None for a linear layer) and ``grads`` (``grads[i]``
+    has layer i's input shape, ``grads[-1]`` the output shape) are the work
+    buffers of ``backward``.
     """
 
     weights: list
@@ -92,6 +83,7 @@ class DenseNet(FlatParams):
     weight_grads: list = field(init=False, repr=False)
     weights_t: list | None = field(default=None, init=False, repr=False)
     work: tuple | None = field(default=None, init=False, repr=False)
+    tape: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.activation_mask):
@@ -127,29 +119,19 @@ class DenseNet(FlatParams):
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    def new_tape(self, rows: int) -> GradTape:
-        """Buffers for taped passes over ``rows`` input rows."""
-        inputs, pre_acts, masks = [None], [], []
-        for W, act in zip(self.weights, self.activation_mask):
-            Z = np.empty((rows, W.shape[0]))
-            pre_acts.append(Z)
-            inputs.append(np.empty_like(Z) if act else Z)
-            masks.append(np.empty_like(Z) if act else None)
-        grads = [np.empty((rows, W.shape[1])) for W in self.weights] + [np.empty_like(pre_acts[-1])]
-        return GradTape(inputs=inputs, pre_acts=pre_acts, masks=masks, grads=grads)
-
-    def forward(self, x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, taped: bool = False) -> np.ndarray:
         """Forward pass of a (rows, in_dim) matrix.
 
-        Without a tape no layer inputs are kept and the rectifiers work in
-        place; the output is a fresh array.  With one (from ``new_tape`` for
-        this many rows) every layer writes into its buffers, and the output
-        returned is a view of the tape, valid until its next pass.
+        Untaped, no layer inputs are kept and the rectifiers work in place;
+        the output is a fresh array.  Taped, every layer writes into
+        ``tape``, allocated on the first taped pass and again only when the
+        row count changes, and the output returned is a view of the tape,
+        valid until the next taped pass.
         """
         H = np.asarray(x, dtype=float)
         if H.ndim != 2 or H.shape[1] != self.in_dim:
             raise ValueError(f"input shape {H.shape} is not (rows, {self.in_dim})")
-        if tape is None:
+        if not taped:
             # one row keeps W.T: numpy takes the gemv path there, where a
             # contiguous operand changes the bits
             if self.weights_t is not None and len(H) > 1:
@@ -159,10 +141,18 @@ class DenseNet(FlatParams):
                 if act:
                     np.maximum(H, 0.0, out=H)
         else:
-            if H.shape[0] != tape.pre_acts[0].shape[0]:
-                raise ValueError(f"{H.shape[0]} input rows != tape rows {tape.pre_acts[0].shape[0]}")
-            tape.inputs[0] = H
-            for W, act, Z, H_next in zip(self.weights, self.activation_mask, tape.pre_acts, tape.inputs[1:]):
+            rows = len(H)
+            if self.tape is None or len(self.tape[1][0]) != rows:
+                pre_acts = [np.empty((rows, W.shape[0])) for W in self.weights]
+                self.tape = (
+                    [None] + [np.empty_like(Z) if act else Z for Z, act in zip(pre_acts, self.activation_mask)],
+                    pre_acts,
+                    [np.empty_like(Z) if act else None for Z, act in zip(pre_acts, self.activation_mask)],
+                    [np.empty((rows, W.shape[1])) for W in self.weights] + [np.empty_like(pre_acts[-1])],
+                )
+            inputs, pre_acts = self.tape[:2]
+            inputs[0] = H
+            for W, act, Z, H_next in zip(self.weights, self.activation_mask, pre_acts, inputs[1:]):
                 np.dot(H, W.T, out=Z)
                 if act:
                     np.maximum(Z, 0.0, out=H_next)
@@ -198,29 +188,26 @@ class DenseNet(FlatParams):
                     np.maximum(B, 0.0, out=B)
         return out
 
-    def backward(self, tape: GradTape, out_grad: np.ndarray, input_grad: bool = True) -> tuple[np.ndarray | None, list]:
+    def backward(self, out_grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Exact reverse-mode pass over the last taped ``forward``; rectifier subgradient at 0 is 0.
 
         ``out_grad`` has the shape of the taped output.  Writes the weight
-        gradients into ``grads`` and returns the input gradient (a view of the
-        tape) and ``weight_grads``; the next pass overwrites them.  With
-        ``input_grad=False`` the first layer's input-gradient product is
-        skipped and None is returned in its place.
+        gradients into ``grads`` and returns the input gradient, a view of
+        the tape; the next pass overwrites both.  With ``input_grad=False``
+        the first layer's input-gradient product is skipped and None is
+        returned.
         """
-        if len(tape.pre_acts) != len(self.weights):
-            raise ValueError("tape does not match this net")
+        inputs, pre_acts, masks, grads = self.tape
         G = np.asarray(out_grad, dtype=float)
         for i in range(len(self.weights) - 1, -1, -1):
             if self.activation_mask[i]:
                 # a float mask: float x bool would cast the mask inside the ufunc
-                np.greater(tape.pre_acts[i], 0.0, out=tape.masks[i])
-                G = np.multiply(G, tape.masks[i], out=tape.grads[i + 1])
-            np.dot(G.T, tape.inputs[i], out=self.weight_grads[i])
+                np.greater(pre_acts[i], 0.0, out=masks[i])
+                G = np.multiply(G, masks[i], out=grads[i + 1])
+            np.dot(G.T, inputs[i], out=self.weight_grads[i])
             if i or input_grad:
-                G = np.dot(G, self.weights[i], out=tape.grads[i])
-        if not input_grad:
-            return None, self.weight_grads
-        return G, self.weight_grads
+                G = np.dot(G, self.weights[i], out=grads[i])
+        return G if input_grad else None
 
 
 @contextmanager

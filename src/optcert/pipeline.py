@@ -152,8 +152,10 @@ class ExperimentConfig:
         return PacConfig(**self.pac)
 
     def hash(self) -> str:
-        # the artifact format is hashed too, so a directory of another format is stale
-        payload = json.dumps({**vars(self), "artifact_format": ARTIFACT_FORMAT}, sort_keys=True, default=list)
+        # the artifact format is hashed too, so a directory of another format is stale;
+        # a NumPy scalar hashes as its Python value, any other iterable as a list
+        payload = json.dumps({**vars(self), "artifact_format": ARTIFACT_FORMAT}, sort_keys=True,
+                             default=lambda obj: obj.item() if isinstance(obj, np.generic) else list(obj))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -49,6 +49,9 @@ class SgldConfig:
 class SampleSet:
     """Collected hyperparameter vectors with their estimated probabilities.
 
+    ``estimates`` are the sampler's acceptance estimates.  ``samples.json``
+    records them, but no later stage reads them: the certificate records
+    fresh ``p_hats``, drawn from the same validation rollouts.
     ``val_losses`` holds, per point, the validation rollout matrix its
     estimate was drawn from.  It lives in memory only: the samples artifact
     holds the points and estimates, and a set read back from it has None

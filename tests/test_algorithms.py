@@ -315,15 +315,16 @@ class TestHypergradient:
         assert not np.any(later)
 
 
-def _parent_net_backward(net, tape, out_grad):
-    """Reverse pass as the per-net code computed it: weight gradients as a list."""
+def _parent_net_backward(net, out_grad):
+    """Reverse pass over the net's tape as the per-net code computed it: weight gradients as a list."""
+    inputs, pre_acts = net.tape[:2]
     G = np.asarray(out_grad, dtype=float)
     G = G[None, :] if G.ndim == 1 else G
     weight_grads = [None] * len(net.weights)
     for i in range(len(net.weights) - 1, -1, -1):
         if net.activation_mask[i]:
-            G = G * (tape.pre_acts[i] > 0)
-        weight_grads[i] = G.T @ tape.inputs[i]
+            G = G * (pre_acts[i] > 0)
+        weight_grads[i] = G.T @ inputs[i]
         G = G @ net.weights[i]
     return G, weight_grads
 
@@ -336,8 +337,8 @@ def _parent_quad_backward(arch, tape, out_grad):
     out_grad = np.atleast_2d(out_grad)
     g_s = (tape.direction[:, None, :] @ out_grad[:, :, None])[:, 0, 0]
     g_d = tape.step_size[:, None] * out_grad
-    _, dir_wg = _parent_net_backward(arch.direction_net, tape.dir_tape, g_d.reshape(-1, 1))
-    _, step_wg = _parent_net_backward(arch.step_net, tape.step_tape, g_s[:, None])
+    _, dir_wg = _parent_net_backward(arch.direction_net, g_d.reshape(-1, 1))
+    _, step_wg = _parent_net_backward(arch.step_net, g_s[:, None])
     return _flatten(dir_wg, step_wg)
 
 
@@ -360,12 +361,12 @@ def _parent_lasso_backward(arch, tape, out_grad):
     g_z = g_gated * x_tilde
     g_xt += g_gated * z
     g_a = g_z * z * (1.0 - z)
-    g_sp_in, sparse_wg = _parent_net_backward(arch.sparsity_net, tape.sparse_tape, g_a[:, None])
+    g_sp_in, sparse_wg = _parent_net_backward(arch.sparsity_net, g_a[:, None])
     g_xt += g_sp_in[:, 0]
     g_s = float(tape.direction[0] @ g_xt)
     g_d = tape.step_size[0] * g_xt
-    _, dir_wg = _parent_net_backward(arch.direction_net, tape.dir_tape, g_d[:, None])
-    _, step_wg = _parent_net_backward(arch.step_net, tape.step_tape, np.array([g_s]))
+    _, dir_wg = _parent_net_backward(arch.direction_net, g_d[:, None])
+    _, step_wg = _parent_net_backward(arch.step_net, np.array([g_s]))
     return np.concatenate([_flatten(dir_wg, step_wg, sparse_wg), [g_prox_tau]])
 
 
@@ -434,13 +435,11 @@ class TestLeanBackward:
             assert not np.shares_memory(grads[0], algo.arch.grads)
 
 
-def _tape_arrays(tape):
-    """Every array that a step tape or its net tapes hold."""
-    found = [a for a in vars(tape).values() if isinstance(a, np.ndarray)]
-    for net_tape in (tape.dir_tape, tape.step_tape, getattr(tape, "sparse_tape", None)):
-        if net_tape is not None:
-            for part in (net_tape.inputs, net_tape.pre_acts, net_tape.masks, net_tape.grads):
-                found += [a for a in part if a is not None]
+def _tape_arrays(arch):
+    """Every array that the architecture's step tape or its nets' tapes hold."""
+    found = [a for a in vars(arch.tape).values() if isinstance(a, np.ndarray)]
+    for net in arch.nets:
+        found += [a for part in net.tape for a in part if a is not None]
     return found
 
 
@@ -473,7 +472,7 @@ class TestStepTape:
             st = _random_states(dim, 1, 6)[0]
             nxt, tape = algo.step_with_tape(st, insts[0])
             grad = algo.step_backward(tape, algo.loss_grad(nxt.x_curr, insts[0]))
-            for buf in _tape_arrays(tape):
+            for buf in _tape_arrays(algo.arch):
                 assert not np.shares_memory(nxt.x_curr, buf)
                 assert not np.shares_memory(grad, buf)
 
@@ -520,11 +519,12 @@ class TestStepTape:
     def test_reinit_shares_no_buffers(self):
         for algo, insts, dim in _tape_cases():
             st = _random_states(dim, 1, 7)[0]
-            _, old = algo.step_with_tape(st, insts[0])
+            algo.step_with_tape(st, insts[0])
+            old = algo.arch
             algo.reinit(np.random.default_rng(9))
-            assert algo.arch.tape is None
-            _, new = algo.step_with_tape(st, insts[0])
-            for buf in _tape_arrays(new):
+            assert algo.arch.tape is None and all(net.tape is None for net in algo.arch.nets)
+            algo.step_with_tape(st, insts[0])
+            for buf in _tape_arrays(algo.arch):
                 assert not any(np.shares_memory(buf, prev) for prev in _tape_arrays(old))
 
 

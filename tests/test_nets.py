@@ -89,21 +89,19 @@ class TestBackward:
     def test_zero_outgrad(self):
         rng = np.random.default_rng(1)
         net = DenseNet.init([3, 4, 1], [True, False], rng)
-        tape = net.new_tape(1)
-        net.forward(rng.normal(size=(1, 3)), tape)
-        in_g, w_g = net.backward(tape, np.zeros((1, 1)))
+        net.forward(rng.normal(size=(1, 3)), taped=True)
+        in_g = net.backward(np.zeros((1, 1)))
         np.testing.assert_array_equal(in_g, np.zeros((1, 3)))
-        for g in w_g:
+        for g in net.weight_grads:
             assert not np.any(g)
 
     def test_linear_layer_weight_grad_is_outer_product(self):
         net = make_net([np.zeros((2, 3))], [False])
         x = np.array([[1.0, 2.0, 3.0]])
-        tape = net.new_tape(1)
-        net.forward(x, tape)
+        net.forward(x, taped=True)
         out_grad = np.array([[1.0, -1.0]])
-        _, w_g = net.backward(tape, out_grad)
-        np.testing.assert_allclose(w_g[0], np.outer(out_grad, x))
+        net.backward(out_grad)
+        np.testing.assert_allclose(net.weight_grads[0], np.outer(out_grad, x))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -111,10 +109,9 @@ class TestBackward:
         net = DenseNet.init([3, 6, 6, 1], [True, True, False], rng)
         x = rng.normal(size=(1, 3))
         out_grad = np.ones((1, 1))
-        tape = net.new_tape(1)
-        net.forward(x, tape)
-        in_g, w_g = net.backward(tape, out_grad)
-        flat_g = np.concatenate([g.ravel() for g in w_g])
+        net.forward(x, taped=True)
+        in_g = net.backward(out_grad).copy()
+        flat_g = net.grads.copy()
 
         def f_weights(flat):
             saved = net.get_flat()
@@ -137,28 +134,43 @@ class TestBackward:
         rng = np.random.default_rng(5)
         net = DenseNet.init([2, 3, 1], [True, False], rng)
         x = np.array([[0.4, -0.7]])
-        t1, t2 = net.new_tape(1), net.new_tape(1)
-        o1 = net.forward(x, t1)
-        o2 = net.forward(x, t2)
+        o1 = net.forward(x, taped=True).copy()
+        g1, w1 = net.backward(np.ones((1, 1))).copy(), net.grads.copy()
+        o2 = net.forward(x, taped=True)
+        g2 = net.backward(np.ones((1, 1)))
         np.testing.assert_array_equal(o1, o2)
-        g1 = net.backward(t1, np.ones((1, 1)))
-        g2 = net.backward(t2, np.ones((1, 1)))
-        np.testing.assert_array_equal(g1[0], g2[0])
+        np.testing.assert_array_equal(g1, g2)
+        np.testing.assert_array_equal(w1, net.grads)
 
     def test_weight_gradients_are_views_of_grads(self):
         rng = np.random.default_rng(6)
         net = DenseNet.init([3, 5, 5, 2], [True, True, False], rng)
-        tape = net.new_tape(4)
-        net.forward(rng.normal(size=(4, 3)), tape)
+        net.forward(rng.normal(size=(4, 3)), taped=True)
         out_grad = rng.normal(size=(4, 2))
-        in_g, w_g = net.backward(tape, out_grad)
+        in_g = net.backward(out_grad)
         assert in_g.shape == (4, 3)
-        assert all(np.shares_memory(g, net.grads) for g in w_g)
+        assert all(np.shares_memory(g, net.grads) for g in net.weight_grads)
         flat = net.grads.copy()
-        skipped, _ = net.backward(tape, out_grad, input_grad=False)
-        assert skipped is None
+        assert net.backward(out_grad, input_grad=False) is None
         np.testing.assert_array_equal(net.grads, flat)
-        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in w_g]))
+        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in net.weight_grads]))
+
+
+class TestTape:
+    def test_allocated_on_the_first_taped_pass_and_again_only_when_the_row_count_changes(self):
+        rng = np.random.default_rng(7)
+        net = DenseNet.init([3, 5, 5, 2], [True, False, True], rng)
+        net.forward(rng.normal(size=(4, 3)))
+        assert net.tape is None
+        out = net.forward(rng.normal(size=(4, 3)), taped=True)
+        tape = net.tape
+        assert out is tape[0][-1] and [Z.shape for Z in tape[1]] == [(4, 5), (4, 5), (4, 2)]
+        assert net.forward(rng.normal(size=(4, 3)), taped=True) is out and net.tape is tape
+        net.forward(rng.normal(size=(6, 3)), taped=True)
+        assert net.tape is not tape and [Z.shape for Z in net.tape[1]] == [(6, 5), (6, 5), (6, 2)]
+        # a linear layer's pre-activation is the next layer's input; no other two buffers overlap
+        arrays = [a for part in net.tape for a in part if a is not None]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in arrays if a is not b)
 
 
 class TestInit:

@@ -164,6 +164,15 @@ class TestExperimentConfig:
         payload = json.dumps({**asdict(cfg), "artifact_format": 2}, sort_keys=True, default=list)
         assert cfg.hash() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
+    def test_numpy_integers_hash_and_run_like_python_ints(self, tmp_path):
+        cfg = tiny_config(dim=np.int64(4), seed=np.int64(3), sizes=tuple(np.full(4, 10)),
+                          locate={"n_max": np.int32(600), "check_every": 200, "run_length": 10,
+                                  "target_len": 10, "score_instances": 5})
+        assert cfg.hash() == tiny_config().hash()
+        run_pipeline(cfg, tmp_path / "numpy", until="data")
+        run_pipeline(tiny_config(), tmp_path / "python", until="data")
+        assert (tmp_path / "numpy" / "data.json").read_bytes() == (tmp_path / "python" / "data.json").read_bytes()
+
 
 class TestLossSummary:
     """``_loss_summary`` has the rows p10, p50, p90 and mean of numpy's NaN-aware functions."""
