@@ -6,9 +6,9 @@ a scalar step-size net over log-transformed norms, and, for LASSO, a
 sparsity net whose output gates the iterate before soft-thresholding with
 a learned prox parameter. Hypergradients through one update step are exact
 reverse-mode; the preprocessed inputs are treated as constants since they
-depend only on the previous iterates.  A taped step fills the
-architecture's step tape and each net's own tape, and ``step_backward``
-reads both.
+depend only on the previous iterates.  A taped step (``step_with_tape``)
+refills the architecture's step tape and each net's own tape and returns
+only the next state; ``step_backward(out_grad)`` reads those tapes back.
 
 Every update is written once, over rows: a step takes vector iterates with
 one instance, or (B, n) iterates with B instances stacked by
@@ -160,6 +160,12 @@ class _LearnedArch:
         self.nets = nets
         self.params, self.grads = pack_params(nets, extra)
         self.tape = self.work = None
+
+    def last_tape(self):
+        """The step tape of the last taped step; a RuntimeError when no taped step has run."""
+        if self.tape is None:
+            raise RuntimeError("step_backward needs a taped step first: no step_with_tape has run")
+        return self.tape
 
     def buffers(self, rows: int, n: int, taped: bool):
         """The step buffers for (rows, n) iterates, reallocated only when that shape changes.
@@ -439,9 +445,8 @@ class QuadLearnedAlgo(_Learned, _Quadratic):
         """One learned step on one instance, or on the rows of a ``QuadraticBatch``.
 
         The direction net sees (B*n, 3) coordinate rows and the step net (B, 2)
-        norm rows.  Returns the next state and, when ``taped``, the
-        architecture's step tape, refilled by this step with the nets' tapes
-        (else None).
+        norm rows.  Returns the next state; ``taped`` refills the
+        architecture's step tape and the nets' tapes.
         """
         arch = self.arch
         n = state.x_curr.shape[-1]
@@ -449,22 +454,23 @@ class QuadLearnedAlgo(_Learned, _Quadratic):
         t = arch.buffers(len(x), n, taped)
         _direction_and_step(arch, t, grad_quadratic(x, inst), x, x_prev, taped)
         x_next = (x + t.step_size[:, None] * t.direction).reshape(state.x_curr.shape)
-        return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if taped else None)
+        return AlgoState(x_curr=x_next, x_prev=state.x_curr)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return self._step(state, inst, False)[0]
+        return self._step(state, inst, False)
 
-    def step_with_tape(self, state: AlgoState, inst):
+    def step_with_tape(self, state: AlgoState, inst) -> AlgoState:
         return self._step(state, inst, True)
 
-    def step_backward(self, tape: _StepBuffers, out_grad: np.ndarray) -> np.ndarray:
+    def step_backward(self, out_grad: np.ndarray) -> np.ndarray:
         """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters (summed over rows).
 
-        Each net runs back over its own tape of this step and writes its
-        weight gradients into its slice of ``arch.grads``; the result is a
-        copy of that vector.
+        ``x_next`` is the last taped step's.  Each net runs back over its own
+        tape of that step and writes its weight gradients into its slice of
+        ``arch.grads``; the result is a copy of that vector.
         """
         arch = self.arch
+        tape = arch.last_tape()
         out_grad = out_grad.reshape(tape.direction.shape)
         g_s = row_dot(tape.direction, out_grad)
         g_d = tape.step_size[:, None] * out_grad
@@ -490,9 +496,8 @@ class LassoLearnedAlgo(_Learned, _Lasso):
         """One learned step on one instance, or on the rows of a ``LassoBatch``.
 
         The direction and sparsity nets see (B*n, c) coordinate rows and the
-        step net (B, 3) norm rows.  Returns the next state and, when
-        ``taped``, the architecture's step tape, refilled by this step with
-        the nets' tapes (else None).
+        step net (B, 3) norm rows.  Returns the next state; ``taped`` refills
+        the architecture's step tape and the nets' tapes.
         """
         arch = self.arch
         n = state.x_curr.shape[-1]
@@ -513,22 +518,24 @@ class LassoLearnedAlgo(_Learned, _Lasso):
         # rescale so the prox does not change the norm; a zero row stays put
         scale = np.divide(np.sqrt(row_dot(x_tilde, x_tilde)), ny, out=np.ones_like(ny), where=ny > 0)
         x_next = (y * scale[:, None]).reshape(state.x_curr.shape)
-        return AlgoState(x_curr=x_next, x_prev=state.x_curr), (t if taped else None)
+        return AlgoState(x_curr=x_next, x_prev=state.x_curr)
 
     def step(self, state: AlgoState, inst) -> AlgoState:
-        return self._step(state, inst, False)[0]
+        return self._step(state, inst, False)
 
-    def step_with_tape(self, state: AlgoState, inst):
+    def step_with_tape(self, state: AlgoState, inst) -> AlgoState:
         return self._step(state, inst, True)
 
-    def step_backward(self, tape: _LassoStepBuffers, out_grad: np.ndarray) -> np.ndarray:
-        """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row tape.
+    def step_backward(self, out_grad: np.ndarray) -> np.ndarray:
+        """Gradient of <out_grad, x_next> w.r.t. the flat hyperparameters, for a one-row taped step.
 
-        Each net runs back over its own tape of this step and writes its
-        weight gradients into its slice of ``arch.grads``, whose last entry
-        takes the ``prox_tau`` term; the result is a copy of that vector.
+        ``x_next`` is the last taped step's.  Each net runs back over its own
+        tape of that step and writes its weight gradients into its slice of
+        ``arch.grads``, whose last entry takes the ``prox_tau`` term; the
+        result is a copy of that vector.
         """
         arch = self.arch
+        tape = arch.last_tape()
         y, x_tilde, z, gated = tape.y[0], tape.x_tilde[0], tape.z[0], tape.gated[0]
         thresh, reg = tape.thresh.item(), tape.reg.item()
         ny = math.sqrt(y @ y)
@@ -594,14 +601,20 @@ def ratio_step(algo, state, inst, l0=None):
     computed otherwise); the returned loss at the next state is the ``l0``
     of the step after it.  The hypergradient is None when the denominator
     ``l0`` is zero (term dropped).
+
+    ``algo`` needs ``loss``, ``loss_grad`` and the taped pair that the
+    training loops use: ``step_with_tape(state, inst) -> state``, which
+    keeps what its backward pass needs inside the rule, and
+    ``step_backward(out_grad) -> grad``, the gradient of
+    <out_grad, next x> over the flat parameters for the last taped step.
     """
     if l0 is None:
         l0 = algo.loss(state.x_curr, inst)
-    next_state, tape = algo.step_with_tape(state, inst)
+    next_state = algo.step_with_tape(state, inst)
     l1 = algo.loss(next_state.x_curr, inst)
     if l0 <= 0.0:
         return next_state, None, l1
-    return next_state, algo.step_backward(tape, algo.loss_grad(next_state.x_curr, inst) / l0), l1
+    return next_state, algo.step_backward(algo.loss_grad(next_state.x_curr, inst) / l0), l1
 
 
 def grad_train_loss_onestep(algo, state, inst) -> np.ndarray:

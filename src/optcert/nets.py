@@ -195,8 +195,10 @@ class DenseNet(FlatParams):
         gradients into ``grads`` and returns the input gradient, a view of
         the tape; the next pass overwrites both.  With ``input_grad=False``
         the first layer's input-gradient product is skipped and None is
-        returned.
+        returned.  Before any taped pass it raises a RuntimeError.
         """
+        if self.tape is None:
+            raise RuntimeError("DenseNet.backward needs a taped forward pass first: no forward(x, taped=True) has run")
         inputs, pre_acts, masks, grads = self.tape
         G = np.asarray(out_grad, dtype=float)
         for i in range(len(self.weights) - 1, -1, -1):

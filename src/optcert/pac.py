@@ -99,9 +99,9 @@ class PacConfig:
     eps_pac: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.lambda_min <= self.lambda_max and _is_int(self.grid_size) and self.grid_size >= 1
-                and 0 < self.eps_pac < 1):
-            raise ValueError(f"pac: need 0 < lambda_min <= lambda_max, an integer grid_size >= 1 and "
+        if not (0 < self.lambda_min <= self.lambda_max < np.inf and _is_int(self.grid_size)
+                and self.grid_size >= 1 and 0 < self.eps_pac < 1):
+            raise ValueError(f"pac: need 0 < lambda_min <= lambda_max < inf, an integer grid_size >= 1 and "
                              f"0 < eps_pac < 1, got {self}")
 
     def lambda_grid(self) -> np.ndarray:
@@ -284,7 +284,8 @@ def certify(
     q_t1 = float(posterior.weights @ stats.t1)
     q_t2 = float(posterior.weights @ stats.t2)
     explicit = -q_t1 + (kl + np.log(cfg.grid_size / cfg.eps_pac) + 0.5 * lam * lam * q_t2) / lam
-    scale = max(abs(bound), abs(explicit), 1.0)
+    # relative: the bound is at least log(K/eps)/lambda > 0, so the scale is never 0
+    scale = max(abs(bound), abs(explicit))
     if not abs(explicit - bound) <= 1e-8 * scale:
         raise CertificateMismatchError(
             f"certificate mismatch: grid objective {bound!r} vs explicit {explicit!r}"

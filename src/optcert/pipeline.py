@@ -348,10 +348,10 @@ def _stage_init(run):
     _build_algos(run)
     # only a computed init probes: a reused record overwrites every weight
     _probe_arch(run.learned, run.splits.prior, run.x0, run.rng)
-    res = find_initialization(
+    converged = find_initialization(
         run.learned, run.baseline, run.splits.prior, run.x0, run.cfg.stage_config(), run.rng
     )
-    return {"alpha": _vector(res.alpha), "converged": bool(res.converged)}
+    return {"alpha": _vector(run.learned.params), "converged": converged}
 
 
 def _load_init(run, record):
@@ -360,15 +360,11 @@ def _load_init(run, record):
 
 
 def _stage_locate(run):
-    loc = locate_prior(
+    estimate = locate_prior(
         run.learned, run.splits.prior, run.splits.val, run.x0, run.spec,
         run.cfg.locate_config(), run.rng,
     )
-    return {
-        "alpha": _vector(loc.alpha),
-        "found": bool(loc.constraint_found),
-        "estimate": loc.estimate,
-    }
+    return {"alpha": _vector(run.learned.params), "found": estimate is not None, "estimate": estimate}
 
 
 def _check_locate(record):

@@ -10,6 +10,11 @@ Adam on the one-step hypergradient, the constraint is re-estimated
 periodically, and leaving the feasible set triggers a rollback to the last
 feasible hyperparameters.  Trajectory lengths are randomized by a
 Bernoulli(s/n) restart so the expected length is n.
+
+Both loops train the rule's own parameter vector and leave the rule at
+their result, so they return only a flag (``find_initialization``) or the
+kept checkpoint's estimate (``locate_prior``).  The divergence guard and
+the two lr halving periods are the constants below, not config keys.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from .sublevel import SublevelSpec, estimate_sublevel_probability
 
 __all__ = [
     "TrajectoryScheduler",
-    "PriorLocation",
-    "InitResult",
     "StageConfig",
     "LocateConfig",
     "find_initialization",
     "locate_prior",
 ]
+
+GUARD_FACTOR = 1e6  # a trajectory restarts when its loss exceeds GUARD_FACTOR * (its loss at x0 + 1)
+INIT_DECAY_EVERY = 200  # Adam steps of the imitation loop between halvings of its lr
+LOCATE_DECAY_EVERY = 10_000  # iterations of the locate loop between halvings of its lr
 
 
 @dataclass
@@ -50,19 +57,6 @@ class TrajectoryScheduler:
         if rng.random() < self.segment_len / self.target_len:
             return None, True
         return final_state, False
-
-
-@dataclass(frozen=True)
-class PriorLocation:
-    alpha: np.ndarray
-    constraint_found: bool
-    estimate: float | None
-
-
-@dataclass(frozen=True)
-class InitResult:
-    alpha: np.ndarray
-    converged: bool
 
 
 def _check_segment_len(section: str, segment_len: int, target_len: int) -> None:
@@ -93,17 +87,14 @@ class StageConfig:
     segment_len: int = 1
     target_len: int = 50
     lr: float = 1e-3
-    decay_every: int = 200
     n_init: int = 100
     eps_init: float = 10.0
     max_iterations: int = 5_000
-    guard_factor: float = 1e6  # restart trajectory when loss grows this much
 
     def __post_init__(self):
         _check_segment_len("init", self.segment_len, self.target_len)
-        _check_counts("init", decay_every=self.decay_every, n_init=self.n_init,
-                      max_iterations=self.max_iterations)
-        _check_positive("init", lr=self.lr, guard_factor=self.guard_factor)
+        _check_counts("init", n_init=self.n_init, max_iterations=self.max_iterations)
+        _check_positive("init", lr=self.lr)
 
 
 @np.errstate(over="ignore")
@@ -137,9 +128,9 @@ def _clip(grad: np.ndarray, sq_norm: float) -> np.ndarray:
     return grad
 
 
-def _diverged(loss: float, base_loss: float, factor: float) -> bool:
-    """Whether a trajectory's current ``loss`` is non-finite or above ``factor * (base_loss + 1)``."""
-    return not np.isfinite(loss) or loss > factor * (base_loss + 1.0)
+def _diverged(loss: float, base_loss: float) -> bool:
+    """Whether a trajectory's current ``loss`` is non-finite or above ``GUARD_FACTOR * (base_loss + 1)``."""
+    return not np.isfinite(loss) or loss > GUARD_FACTOR * (base_loss + 1.0)
 
 
 class _Trajectory:
@@ -195,12 +186,13 @@ def _segment_updates(traj: _Trajectory, s: int):
     return state, grad, loss
 
 
-def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) -> InitResult:
-    """Imitation training until the running-mean loss is below ``eps_init``.
+def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) -> bool:
+    """Imitation training until the running-mean loss is below ``eps_init``; returns whether it got there.
 
     The mean runs over blocks of ``n_init`` iterations; a last block cut
     short by ``max_iterations`` is averaged over the iterations it holds.
-    Returns the best hyperparameters seen if the iteration cap is reached.
+    ``algo`` is left at the converged hyperparameters, or at the best ones
+    seen when the iteration cap is reached.
     """
     x0 = np.asarray(x0, dtype=float)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
@@ -220,25 +212,25 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
         grad = np.zeros(algo.num_params)
         total = 0.0
         for _ in range(cfg.segment_len):
-            next_a, tape = algo.step_with_tape(st_a, inst)
+            next_a = algo.step_with_tape(st_a, inst)
             st_r = reference.step(st_r, inst)
             diff = next_a.x_curr - st_r.x_curr
             total += float(diff @ diff)
-            grad += algo.step_backward(tape, 2.0 * diff / cfg.segment_len)
+            grad += algo.step_backward(2.0 * diff / cfg.segment_len)
             st_a = next_a
         running += total / cfg.segment_len
         held += 1
         sq_norm = _finite_sq_norm(grad)
         if sq_norm is not None:
             adam_step(adam, algo.params, _clip(grad, sq_norm))
-            if adam.step_count % cfg.decay_every == 0:
+            if adam.step_count % INIT_DECAY_EVERY == 0:
                 adam.lr *= 0.5
         state = algo.init_state(start)
         for _ in range(cfg.segment_len):
             state = algo.step(state, inst)
         with np.errstate(over="ignore", invalid="ignore"):
             loss = algo.loss(state.x_curr, inst)
-        if _diverged(loss, traj.base_loss, cfg.guard_factor):
+        if _diverged(loss, traj.base_loss):
             traj.restart()
         else:
             traj.advance(state, loss)
@@ -248,11 +240,11 @@ def find_initialization(algo, reference, prior_data, x0, cfg: StageConfig, rng) 
                 best_mean = mean
                 best_alpha = algo.get_flat()
             if mean < cfg.eps_init:
-                return InitResult(alpha=algo.get_flat(), converged=True)
+                return True
             running = 0.0
             held = 0
     algo.set_flat(best_alpha)
-    return InitResult(alpha=best_alpha, converged=False)
+    return False
 
 
 @dataclass
@@ -260,18 +252,16 @@ class LocateConfig:
     segment_len: int = 1
     target_len: int = 50
     lr: float = 3e-4
-    decay_every: int = 10_000
     n_max: int = 20_000
     check_every: int = 500
     run_length: int = 50  # iterations per constraint-indicator run
-    guard_factor: float = 1e6
     score_instances: int = 20  # validation instances used to rank feasible points
 
     def __post_init__(self):
         _check_segment_len("locate", self.segment_len, self.target_len)
-        _check_counts("locate", n_max=self.n_max, check_every=self.check_every, decay_every=self.decay_every,
-                      run_length=self.run_length, score_instances=self.score_instances)
-        _check_positive("locate", lr=self.lr, guard_factor=self.guard_factor)
+        _check_counts("locate", n_max=self.n_max, check_every=self.check_every, run_length=self.run_length,
+                      score_instances=self.score_instances)
+        _check_positive("locate", lr=self.lr)
 
 
 def _median_loss(losses: np.ndarray) -> float:
@@ -298,32 +288,34 @@ def locate_prior(
     spec: SublevelSpec,
     cfg: LocateConfig,
     rng: np.random.Generator,
-) -> PriorLocation:
+) -> float | None:
     """Constrained stochastic empirical risk minimization of the ratio loss.
 
     Feasible checkpoints are ranked by their median loss after
     ``target_len`` iterations on the first ``score_instances`` validation
-    instances; the best one is returned.  The score is read off the
-    constraint check's rollout when that ran at least ``target_len`` steps.
+    instances, and ``algo`` is left at the best one.  The score is read off
+    the constraint check's rollout when that ran at least ``target_len``
+    steps.  Returns the kept checkpoint's sublevel-probability estimate, or
+    None when no check admitted the rule (``algo`` is then left where the
+    iterations took it).
     """
     x0 = np.asarray(x0, dtype=float)
     adam = AdamState.zeros(algo.num_params, lr=cfg.lr)
     traj = _Trajectory(algo, prior_data, x0, cfg, rng)
-    found = False
-    checkpoint = algo.get_flat()
+    checkpoint = None
     best_score = np.inf
     estimate = None
     for i in range(1, cfg.n_max + 1):
         final_state, grad, final_loss = _segment_updates(traj, cfg.segment_len)
         sq_norm = _finite_sq_norm(grad)
         # a diverged segment restarts the trajectory and keeps the parameters
-        restart = sq_norm is None or _diverged(final_loss, traj.base_loss, cfg.guard_factor)
+        restart = sq_norm is None or _diverged(final_loss, traj.base_loss)
         if not restart:
             adam_step(adam, algo.params, _clip(grad, sq_norm))
         if i % cfg.check_every == 0:
             res = estimate_sublevel_probability(algo, val_data, x0, cfg.run_length, spec, rng)
             if spec.admits(res):
-                found = True
+                # the first admitted check sets ``estimate``: its score is at most inf
                 if res.losses.shape[1] > cfg.target_len:
                     score = _median_loss(res.losses[: cfg.score_instances, cfg.target_len])
                 else:
@@ -334,17 +326,16 @@ def locate_prior(
                     best_score = score
                     checkpoint = algo.get_flat()
                     estimate = res.point_estimate
-            elif found:
+            elif estimate is not None:
                 # reject: restore the feasible hyperparameters, reset iterates
                 algo.set_flat(checkpoint)
                 restart = True
-        if i % cfg.decay_every == 0:
+        if i % LOCATE_DECAY_EVERY == 0:
             adam.lr *= 0.5
         if restart:
             traj.restart()
         else:
             traj.advance(final_state, final_loss)
-    if found:
+    if estimate is not None:
         algo.set_flat(checkpoint)
-        return PriorLocation(alpha=checkpoint, constraint_found=True, estimate=estimate)
-    return PriorLocation(alpha=algo.get_flat(), constraint_found=False, estimate=estimate)
+    return estimate

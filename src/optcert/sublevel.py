@@ -57,14 +57,11 @@ class SublevelSpec:
     width_tol: float = 0.075
 
     def __post_init__(self):
-        if not (0 <= self.p_l < self.p_u <= 1):
-            raise ValueError("need 0 <= p_l < p_u <= 1")
-        if not (0 < self.q_l < self.q_u < 1):
-            raise ValueError("need 0 < q_l < q_u < 1")
-        if self.width_tol <= 0:
-            raise ValueError("width_tol must be positive")
-        if self.g_scale <= 0 or self.g_exponent < 0:
-            raise ValueError("need g_scale > 0 and g_exponent >= 0")
+        # chained comparisons, so that a NaN fails them
+        if not (0 <= self.p_l < self.p_u <= 1 and 0 < self.q_l < self.q_u < 1 and 0 < self.width_tol < math.inf
+                and 0 < self.g_scale < math.inf and 0 <= self.g_exponent < math.inf):
+            raise ValueError(f"sublevel: need 0 <= p_l < p_u <= 1, 0 < q_l < q_u < 1 and finite width_tol > 0, "
+                             f"g_scale > 0 and g_exponent >= 0, got {self}")
 
     def admits(self, res: EstimateResult) -> bool:
         """Whether an estimate is conclusive and its point estimate lies in [p_l, p_u]."""

@@ -224,7 +224,8 @@ class TestLearnedLassoStep:
     def test_norm_rescaling_contract(self):
         algo = make_lasso_algo(3, self.ctx)
         st = algo.init_state(np.array([1.0, -2.0, 3.0, 0.5, 0.1, -0.4]))
-        nxt, tape = algo.step_with_tape(st, self.insts[0])
+        nxt = algo.step_with_tape(st, self.insts[0])
+        tape = algo.arch.tape
         if np.linalg.norm(tape.y) > 0:
             assert np.linalg.norm(nxt.x_curr) == pytest.approx(np.linalg.norm(tape.x_tilde))
 
@@ -233,7 +234,8 @@ class TestLearnedLassoStep:
         algo = make_lasso_algo(4, self.ctx)
         algo.arch.prox_tau = 0.0
         st = algo.init_state(np.ones(6))
-        nxt, tape = algo.step_with_tape(st, self.insts[0])
+        nxt = algo.step_with_tape(st, self.insts[0])
+        tape = algo.arch.tape
         # with threshold 0, y = z*x_tilde rescaled back to ||x_tilde||
         assert np.linalg.norm(nxt.x_curr) == pytest.approx(np.linalg.norm(tape.x_tilde))
 
@@ -393,9 +395,10 @@ class TestLeanBackward:
             algo = make_quad_algo(seed)
             if dead:
                 _kill_first_step_layer(algo)
-            nxt, tape = algo.step_with_tape(st, inst)
+            nxt = algo.step_with_tape(st, inst)
+            tape = algo.arch.tape
             out_grad = algo.loss_grad(nxt.x_curr, inst) / algo.loss(st.x_curr, inst)
-            got = algo.step_backward(tape, out_grad)
+            got = algo.step_backward(out_grad)
             want = _parent_quad_backward(algo.arch, tape, out_grad)
             assert got.tobytes() == want.tobytes()
             if dead:
@@ -409,9 +412,10 @@ class TestLeanBackward:
             algo = make_lasso_algo(seed, ctx)
             if dead:
                 _kill_first_step_layer(algo)
-            nxt, tape = algo.step_with_tape(st, inst)
+            nxt = algo.step_with_tape(st, inst)
+            tape = algo.arch.tape
             out_grad = algo.loss_grad(nxt.x_curr, inst) / algo.loss(st.x_curr, inst)
-            got = algo.step_backward(tape, out_grad)
+            got = algo.step_backward(out_grad)
             want = _parent_lasso_backward(algo.arch, tape, out_grad)
             assert got.tobytes() == want.tobytes()
             prox_terms.append(got[-1])
@@ -427,8 +431,8 @@ class TestLeanBackward:
         for algo, insts, dim in cases:
             grads, snapshots = [], []
             for inst, st in zip(insts, _random_states(dim, 2, 8)):
-                nxt, tape = algo.step_with_tape(st, inst)
-                grads.append(algo.step_backward(tape, algo.loss_grad(nxt.x_curr, inst)))
+                nxt = algo.step_with_tape(st, inst)
+                grads.append(algo.step_backward(algo.loss_grad(nxt.x_curr, inst)))
                 snapshots.append(grads[-1].copy())
             np.testing.assert_array_equal(grads[0], snapshots[0])
             assert np.any(grads[0] != grads[1])
@@ -457,21 +461,22 @@ class TestStepTape:
     def test_untaped_passes_between_forward_and_backward_change_nothing(self):
         for algo, insts, dim in _tape_cases():
             st, other = _random_states(dim, 2, 4)
-            nxt, tape = algo.step_with_tape(st, insts[0])
+            nxt = algo.step_with_tape(st, insts[0])
+            tape = algo.arch.tape
             out_grad = algo.loss_grad(nxt.x_curr, insts[0])
-            want = algo.step_backward(tape, out_grad)
-            again, tape_again = algo.step_with_tape(st, insts[0])
-            assert tape_again is tape and again.x_curr.tobytes() == nxt.x_curr.tobytes()
+            want = algo.step_backward(out_grad)
+            again = algo.step_with_tape(st, insts[0])
+            assert algo.arch.tape is tape and again.x_curr.tobytes() == nxt.x_curr.tobytes()
             algo.step(other, insts[1])
             rollout(algo, insts, other.x_curr, 3)
-            assert algo.step_backward(tape, out_grad).tobytes() == want.tobytes()
+            assert algo.step_backward(out_grad).tobytes() == want.tobytes()
             assert algo.step(st, insts[0]).x_curr.tobytes() == nxt.x_curr.tobytes()
 
     def test_results_are_not_views_of_the_tape(self):
         for algo, insts, dim in _tape_cases():
             st = _random_states(dim, 1, 6)[0]
-            nxt, tape = algo.step_with_tape(st, insts[0])
-            grad = algo.step_backward(tape, algo.loss_grad(nxt.x_curr, insts[0]))
+            nxt = algo.step_with_tape(st, insts[0])
+            grad = algo.step_backward(algo.loss_grad(nxt.x_curr, insts[0]))
             for buf in _tape_arrays(algo.arch):
                 assert not np.shares_memory(nxt.x_curr, buf)
                 assert not np.shares_memory(grad, buf)
@@ -488,12 +493,13 @@ class TestStepTape:
         ]
         for st, inst in cases:
             fresh = make_quad_algo(3)
-            nxt, tape = algo.step_with_tape(st, inst)
-            want_nxt, want_tape = fresh.step_with_tape(st, inst)
+            nxt = algo.step_with_tape(st, inst)
+            tape = algo.arch.tape
+            want_nxt = fresh.step_with_tape(st, inst)
             assert tape is not old and tape.shape == st.x_curr.reshape(-1, st.x_curr.shape[-1]).shape
             assert nxt.x_curr.tobytes() == want_nxt.x_curr.tobytes()
             out_grad = algo.loss_grad(nxt.x_curr, inst)
-            assert algo.step_backward(tape, out_grad).tobytes() == fresh.step_backward(want_tape, out_grad).tobytes()
+            assert algo.step_backward(out_grad).tobytes() == fresh.step_backward(out_grad).tobytes()
             old = tape
 
     def test_lasso_new_shape_reallocates_and_matches_a_fresh_architecture(self):
@@ -508,13 +514,21 @@ class TestStepTape:
                          (_random_states(6, 1, 3)[0], insts[1])]:
             old = algo.arch.tape
             fresh = LassoLearnedAlgo(make_lasso_algo(3, big_ctx).arch, ctx)
-            nxt, tape = algo.step_with_tape(st, inst)
-            want_nxt, want_tape = fresh.step_with_tape(st, inst)
+            nxt = algo.step_with_tape(st, inst)
+            tape = algo.arch.tape
+            want_nxt = fresh.step_with_tape(st, inst)
             assert tape is not old
             assert nxt.x_curr.tobytes() == want_nxt.x_curr.tobytes()
             if st.x_curr.ndim == 1:  # the LASSO hypergradient is one-row
                 out_grad = algo.loss_grad(nxt.x_curr, inst)
-                assert algo.step_backward(tape, out_grad).tobytes() == fresh.step_backward(want_tape, out_grad).tobytes()
+                assert algo.step_backward(out_grad).tobytes() == fresh.step_backward(out_grad).tobytes()
+
+    def test_backward_before_any_taped_step_names_the_missing_step(self):
+        for algo, insts, dim in _tape_cases():
+            st = _random_states(dim, 1, 5)[0]
+            algo.step(st, insts[0])  # an untaped step leaves no tape
+            with pytest.raises(RuntimeError, match="taped step"):
+                algo.step_backward(algo.loss_grad(st.x_curr, insts[0]))
 
     def test_reinit_shares_no_buffers(self):
         for algo, insts, dim in _tape_cases():

@@ -172,6 +172,12 @@ class TestTape:
         arrays = [a for part in net.tape for a in part if a is not None]
         assert not any(np.shares_memory(a, b) for a in arrays for b in arrays if a is not b)
 
+    def test_backward_before_any_taped_pass_names_the_missing_pass(self):
+        net = DenseNet.init([3, 5, 2], [True, False], np.random.default_rng(0))
+        net.forward(np.ones((4, 3)))  # an untaped pass leaves no tape
+        with pytest.raises(RuntimeError, match="taped forward pass"):
+            net.backward(np.ones((4, 2)))
+
 
 class TestInit:
     def test_weight_range(self):

@@ -203,6 +203,18 @@ class TestCertify:
             assert np.isfinite(cert.bound)
             assert cert.bound >= -float(cert.posterior.weights @ stats.t1) - 1e-12
 
+    def test_mismatch_between_bounds_below_one_is_refused(self, monkeypatch):
+        # bounds of order 1e-10, as at a small sublevel threshold: with the prior in
+        # place of the Gibbs posterior the change-of-measure form reads 8.4e-10 against
+        # a grid objective of 4.9e-10, which a tolerance of an absolute 1e-8 accepted
+        prior = DiscreteMeasure(np.array([0.5, 0.5]))
+        stats = SufficientStats(t1=np.array([-1e-11, -3e-11]), t2=np.array([1e-20, 4e-20]))
+        cfg = PacConfig(grid_size=2000, lambda_max=1e30)
+        assert certify(prior, stats, cfg).bound < 1e-9
+        monkeypatch.setattr(pac, "build_posterior", lambda lam, prior, stats: prior)
+        with pytest.raises(CertificateMismatchError):
+            certify(prior, stats, cfg)
+
     def test_nonfinite_statistic_raises_named_mismatch(self):
         # the Gibbs posterior drops the -inf point, but its 0 * -inf term
         # makes the change-of-measure form NaN while the grid objective is finite

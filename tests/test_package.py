@@ -47,10 +47,9 @@ def test_the_config_surface_is_pinned():
         "sublevel", "init", "locate", "sgld", "pac",
         "sublevel.g_scale", "sublevel.g_exponent", "sublevel.p_l", "sublevel.p_u", "sublevel.q_l",
         "sublevel.q_u", "sublevel.width_tol",
-        "init.segment_len", "init.target_len", "init.lr", "init.decay_every", "init.n_init", "init.eps_init",
-        "init.max_iterations", "init.guard_factor",
-        "locate.segment_len", "locate.target_len", "locate.lr", "locate.decay_every", "locate.n_max",
-        "locate.check_every", "locate.run_length", "locate.guard_factor", "locate.score_instances",
+        "init.segment_len", "init.target_len", "init.lr", "init.n_init", "init.eps_init", "init.max_iterations",
+        "locate.segment_len", "locate.target_len", "locate.lr", "locate.n_max", "locate.check_every",
+        "locate.run_length", "locate.score_instances",
         "sgld.step0", "sgld.n_samples", "sgld.thinning", "sgld.segment_len", "sgld.target_len",
         "sgld.run_length",
         "pac.lambda_min", "pac.lambda_max", "pac.grid_size", "pac.eps_pac",

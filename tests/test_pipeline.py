@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -45,6 +46,17 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# non-finite threshold, estimator and temperature settings, which failed only
+# after three artifacts were written, spent every draw or ended in a NaN objective
+NON_FINITE = [
+    ("sublevel", {"g_scale": float("nan")}),
+    ("sublevel", {"g_scale": float("inf")}),
+    ("sublevel", {"g_exponent": float("nan")}),
+    ("sublevel", {"width_tol": float("nan")}),
+    ("sublevel", {"width_tol": float("inf")}),
+    ("pac", {"grid_size": 200, "lambda_max": float("inf")}),
+]
+
 # config sections (and top-level sizes and counts) with a misspelt key, a
 # value out of range, or a knob that no longer exists; each is refused before
 # anything runs
@@ -64,8 +76,8 @@ BAD_SECTIONS = [
     ("pac", {"grid_size": 200, "lambda_min": -1.0}),
     ("pac", {"grid_size": 200, "lambda_min": 10.0, "lambda_max": 1.0}),
     ("locate", {"n_max": 600, "check_every": 0}),
-    ("locate", {"n_max": 600, "decay_every": 0}),
-    ("init", {"decay_every": 0}),
+    ("locate", {"n_max": 600, "decay_every": 10_000}),  # a constant now, so an unknown key
+    ("init", {"decay_every": 200}),  # a constant now, so an unknown key
     ("sizes", (50, 50, 50)),
     ("sizes", (10, 10, 0, 10)),
     # counts of zero, which ran to a report, failed late or left a stage degenerate
@@ -94,14 +106,15 @@ BAD_SECTIONS = [
     # quadratic data ranges, which failed only in the data stage
     ("m_range", (2.0, 1.0)),
     ("L_range", (0.5, 1.0)),
-    # step sizes and guard factors that are not finite and > 0, which ran until a
-    # stage failed or reported an infeasible band
+    # step sizes that are not finite and > 0, which ran until a stage failed or
+    # reported an infeasible band
     ("sgld", {"step0": -1.0}),
     ("sgld", {"step0": float("inf")}),
     ("locate", {"n_max": 600, "lr": -0.1}),
-    ("locate", {"n_max": 600, "guard_factor": -1.0}),
+    ("locate", {"n_max": 600, "guard_factor": 1e6}),  # a constant now, so an unknown key
     ("init", {"lr": float("nan")}),
-    ("init", {"guard_factor": 0.0}),
+    ("init", {"guard_factor": 1e6}),  # a constant now, so an unknown key
+    *NON_FINITE,
 ]
 
 
@@ -145,6 +158,11 @@ class TestExperimentConfig:
     def test_only_the_problem_kinds_own_ranges_are_checked(self):
         tiny_config(design_rows=0, reg_range=(1.0, 0.1))
         tiny_lasso_config(m_range=(2.0, 1.0), L_range=(0.5, 1.0))
+
+    @pytest.mark.parametrize("section, value", NON_FINITE)
+    def test_non_finite_value_message_names_the_section(self, section, value):
+        with pytest.raises(ValueError, match=rf"^{section}: need "):
+            tiny_config(**{section: value})
 
     @pytest.mark.parametrize("section", ["init", "locate", "sgld"])
     def test_segment_len_message_names_the_section(self, section):
@@ -217,6 +235,18 @@ class TestRunStage:
         assert (tmp_path / "s.json").exists()
 
 
+def bound_gap(cert: dict, pac_cfg) -> float:
+    """The relative gap between a certificate's bound and the sum of its recorded terms.
+
+    The terms are emp_risk + (kl + log(grid_size / eps_pac)) / lambda_star
+    + lambda_star / 2 * emp_second, the change-of-measure form at lambda*.
+    """
+    lam = cert["lambda_star"]
+    terms = (cert["emp_risk"] + (cert["kl"] + math.log(pac_cfg.grid_size / pac_cfg.eps_pac)) / lam
+             + lam / 2 * cert["emp_second"])
+    return abs(cert["bound"] - terms) / abs(cert["bound"])
+
+
 @pytest.fixture(scope="module")
 def completed_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
@@ -245,6 +275,11 @@ class TestPipeline:
         weights = np.asarray(cert["weights"])
         assert weights.sum() == pytest.approx(1.0)
         assert len(cert["kept_indices"]) == len(weights)
+
+    def test_bound_is_the_sum_of_its_recorded_terms(self, completed_run):
+        out, _ = completed_run
+        cert = json.loads((out / "certificate.json").read_text())
+        assert bound_gap(cert, tiny_config().pac_config()) <= 1e-12
 
     def test_certificate_record_layout(self, completed_run):
         out, _ = completed_run

@@ -102,8 +102,7 @@ class TestFindInitialization:
         algo, insts, x0 = _quad_setup()
         reference = QuadLearnedAlgo(algo.arch)
         cfg = StageConfig(n_init=5, eps_init=1e-6, max_iterations=10)
-        res = find_initialization(algo, reference, insts, x0, cfg, np.random.default_rng(0))
-        assert res.converged
+        assert find_initialization(algo, reference, insts, x0, cfg, np.random.default_rng(0))
 
     def test_deterministic(self):
         outs = []
@@ -111,17 +110,15 @@ class TestFindInitialization:
             algo, insts, x0 = _quad_setup()
             ref = HbfAlgo(hbf_params(1.0, 9.0))
             cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=50)
-            res = find_initialization(algo, ref, insts, x0, cfg, np.random.default_rng(5))
-            outs.append(res.alpha.copy())
+            find_initialization(algo, ref, insts, x0, cfg, np.random.default_rng(5))
+            outs.append(algo.get_flat())
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_returns_best_alpha_on_cap(self):
         algo, insts, x0 = _quad_setup()
         ref = HbfAlgo(hbf_params(1.0, 9.0))
         cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=30)
-        res = find_initialization(algo, ref, insts, x0, cfg, np.random.default_rng(3))
-        assert not res.converged
-        np.testing.assert_array_equal(res.alpha, algo.get_flat())
+        assert not find_initialization(algo, ref, insts, x0, cfg, np.random.default_rng(3))
 
     def test_reduces_imitation_loss(self):
         algo, insts, x0 = _quad_setup(seed=11)
@@ -139,19 +136,20 @@ class TestFindInitialization:
         insts = gen_quadratics(10, 4, (1, 2), (5, 9), 0)
         algo = QuadLearnedAlgo(LearnedQuadArch.init(np.random.default_rng(1)))
         cfg = StageConfig(n_init=100, eps_init=0.01, max_iterations=cap)
-        res = find_initialization(algo, HbfAlgo(hbf_params(1, 9)), insts, np.zeros(4), cfg,
-                                  np.random.default_rng(2))
-        assert not res.converged
+        assert not find_initialization(algo, HbfAlgo(hbf_params(1, 9)), insts, np.zeros(4), cfg,
+                                       np.random.default_rng(2))
 
-    def test_diverging_last_iteration_stops_at_the_cap(self):
-        # guard_factor 1e-300 trips the divergence guard on every iteration
+    def test_diverging_last_iteration_stops_at_the_cap(self, monkeypatch):
+        # a guard factor of 1e-300 trips the divergence guard on every iteration
+        monkeypatch.setattr(prior_training, "GUARD_FACTOR", 1e-300)
         algo = _RecordingAlgo(0.8)
-        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=3, guard_factor=1e-300)
+        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=3)
         find_initialization(algo, _ScriptedAlgo(0.3), [None], np.array([1.0]), cfg,
                             np.random.default_rng(0))
         assert len(algo.starts) == 3
 
     def test_lr_halves_once_per_decay_every_adam_steps(self, monkeypatch):
+        monkeypatch.setattr(prior_training, "INIT_DECAY_EVERY", 2)
         # every second hypergradient is NaN and skips Adam, so the six Adam
         # steps of twelve iterations see the lr halved after steps 2 and 4
         lrs = []
@@ -162,7 +160,7 @@ class TestFindInitialization:
             return adam_step(adam, *args)
 
         monkeypatch.setattr(prior_training, "adam_step", recorded)
-        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=12, decay_every=2, lr=0.1)
+        cfg = StageConfig(n_init=10, eps_init=0.0, max_iterations=12, lr=0.1)
         find_initialization(_EverySecondNanAlgo(0.8), _ScriptedAlgo(0.3), [None],
                             np.array([1.0]), cfg, np.random.default_rng(0))
         assert lrs == [0.1 * 0.5 ** (k // 2) for k in range(6)]
@@ -200,10 +198,11 @@ class _ScriptedAlgo:
         return AlgoState(x_curr=x, x_prev=state.x_curr)
 
     def step_with_tape(self, state, inst):
-        return self.step(state, inst), state
+        self.taped_state = state  # all that the backward pass reads
+        return self.step(state, inst)
 
-    def step_backward(self, tape, out_grad):
-        return np.array([float(-tape.x_curr @ out_grad)])
+    def step_backward(self, out_grad):
+        return np.array([float(-self.taped_state.x_curr @ out_grad)])
 
     def loss_grad(self, x, inst):
         return 2.0 * x
@@ -228,18 +227,18 @@ class _EverySecondNanAlgo(_ScriptedAlgo):
         super().__init__(alpha)
         self.taped = 0
 
-    def step_backward(self, tape, out_grad):
+    def step_backward(self, out_grad):
         self.taped += 1
         if self.taped % 2 == 0:
             return np.array([np.nan])
-        return super().step_backward(tape, out_grad)
+        return super().step_backward(out_grad)
 
 
-def _guard_run(algo, x0, guard_factor, n_max):
+def _guard_run(monkeypatch, algo, x0, guard_factor, n_max):
     # lr 1e-300 moves alpha by less than its last bit, no constraint check runs,
     # and the Bernoulli restart is practically off, so only the divergence guard restarts
-    cfg = LocateConfig(n_max=n_max, check_every=n_max + 1, lr=1e-300, target_len=10**12,
-                       guard_factor=guard_factor)
+    monkeypatch.setattr(prior_training, "GUARD_FACTOR", guard_factor)
+    cfg = LocateConfig(n_max=n_max, check_every=n_max + 1, lr=1e-300, target_len=10**12)
     with np.errstate(over="ignore", invalid="ignore"):
         locate_prior(algo, [None], [None], np.array([x0]), SublevelSpec(), cfg,
                      np.random.default_rng(0))
@@ -247,16 +246,16 @@ def _guard_run(algo, x0, guard_factor, n_max):
 
 
 class TestDivergenceGuard:
-    def test_restarts_when_loss_exceeds_guard_factor(self):
+    def test_restarts_when_loss_exceeds_guard_factor(self, monkeypatch):
         # x <- -2x: the loss grows 4x a step and passes 100 * (1 + 1) at the fourth
-        starts = _guard_run(_RecordingAlgo(3.0), 1.0, 100.0, 12)
+        starts = _guard_run(monkeypatch, _RecordingAlgo(3.0), 1.0, 100.0, 12)
         assert starts == [1.0, -2.0, 4.0, -8.0] * 3
 
-    def test_restarts_when_loss_is_not_finite(self):
+    def test_restarts_when_loss_is_not_finite(self, monkeypatch):
         # from 1e150 the iterate stays finite, but its square overflows at the
         # 14th step; the guard bound itself is inf, so only the non-finite
         # loss can restart the trajectory
-        starts = _guard_run(_RecordingAlgo(3.0), 1e150, 1e300, 28)
+        starts = _guard_run(monkeypatch, _RecordingAlgo(3.0), 1e150, 1e300, 28)
         one_run = [1e150 * (-2.0) ** k for k in range(14)]
         assert starts == one_run * 2
 
@@ -265,7 +264,7 @@ class TestDivergenceGuard:
 class _HugeGradAlgo(_ScriptedAlgo):
     """The toy rule with a finite hypergradient whose square overflows."""
 
-    def step_backward(self, tape, out_grad):
+    def step_backward(self, out_grad):
         return np.array([1e200])
 
 
@@ -308,10 +307,9 @@ class TestLocatePrior:
         cfg = LocateConfig(n_max=400, check_every=100, run_length=5, lr=0.05,
                            target_len=5, score_instances=2)
         data = [None, None]
-        res = locate_prior(algo, data, data, np.array([1.0]), spec, cfg,
-                           np.random.default_rng(0))
-        assert res.constraint_found
-        assert abs(1.0 - res.alpha[0]) < abs(1.0 - 0.2)
+        assert locate_prior(algo, data, data, np.array([1.0]), spec, cfg,
+                            np.random.default_rng(0)) is not None
+        assert abs(1.0 - algo.params[0]) < abs(1.0 - 0.2)
 
     def test_rollback_restores_feasible_point(self):
         # a spec feasible only for alpha in [0, 2]: ERM drives alpha past 1
@@ -323,11 +321,10 @@ class TestLocatePrior:
         cfg = LocateConfig(n_max=3000, check_every=50, run_length=20, lr=0.05,
                            target_len=5, score_instances=1)
         data = [None]
-        res = locate_prior(algo, data, data, np.array([1.0]), spec, cfg,
-                           np.random.default_rng(1))
-        assert res.constraint_found
-        assert 0.0 <= res.alpha[0] <= 2.0
-        assert res.estimate is not None and res.estimate >= spec.p_l
+        estimate = locate_prior(algo, data, data, np.array([1.0]), spec, cfg,
+                                np.random.default_rng(1))
+        assert 0.0 <= algo.params[0] <= 2.0
+        assert estimate is not None and estimate >= spec.p_l
 
     def test_infeasible_band_reports_not_found(self):
         algo = _ScriptedAlgo(0.5)
@@ -336,9 +333,8 @@ class TestLocatePrior:
         spec = SublevelSpec(p_l=0.0, p_u=0.5)
         cfg = LocateConfig(n_max=200, check_every=50, run_length=5, lr=0.01,
                            target_len=5, score_instances=1)
-        res = locate_prior(algo, [None], [None], np.array([1.0]), spec, cfg,
-                           np.random.default_rng(2))
-        assert not res.constraint_found
+        assert locate_prior(algo, [None], [None], np.array([1.0]), spec, cfg,
+                            np.random.default_rng(2)) is None
 
     def test_learned_quadratic_end_to_end(self):
         # small real run: the located point satisfies the constraint band
@@ -350,8 +346,7 @@ class TestLocatePrior:
         spec = SublevelSpec()
         cfg = LocateConfig(n_max=1500, check_every=250, run_length=20,
                            target_len=20, score_instances=5)
-        res = locate_prior(algo, insts[:10], insts[10:], x0, spec, cfg, rng)
-        assert res.constraint_found
+        assert locate_prior(algo, insts[:10], insts[10:], x0, spec, cfg, rng) is not None
         from optcert.sublevel import estimate_sublevel_probability
 
         recheck = estimate_sublevel_probability(algo, insts[10:], x0, 20, spec,
@@ -409,33 +404,33 @@ class TestLocateScore:
         monkeypatch.setattr(prior_training, "_median_loss", recorded)
         cfg = LocateConfig(n_max=600, check_every=100, run_length=20,
                            target_len=target_len, score_instances=5)
-        loc = locate_prior(algo, insts[:10], insts[10:], x0, SublevelSpec(p_l=0.5), cfg, rng)
+        estimate = locate_prior(algo, insts[:10], insts[10:], x0, SublevelSpec(p_l=0.5), cfg, rng)
         monkeypatch.undo()
-        return loc, len(separate), scores
+        return estimate, algo.get_flat(), len(separate), scores
 
     def test_locate_equals_scoring_by_separate_rollouts(self, monkeypatch):
-        held, rollouts_held, scores_held = self._locate(monkeypatch, False, 20)
-        fresh, rollouts_fresh, scores_fresh = self._locate(monkeypatch, True, 20)
-        assert held.constraint_found and fresh.constraint_found
+        held, alpha_held, rollouts_held, scores_held = self._locate(monkeypatch, False, 20)
+        fresh, alpha_fresh, rollouts_fresh, scores_fresh = self._locate(monkeypatch, True, 20)
+        assert held is not None and fresh is not None
         assert len(set(scores_held)) > 1 and scores_held == scores_fresh
-        assert held.alpha.tobytes() == fresh.alpha.tobytes()
-        assert held.estimate == fresh.estimate
+        assert alpha_held.tobytes() == alpha_fresh.tobytes()
+        assert held == fresh
         assert rollouts_held == 0 and rollouts_fresh == len(scores_fresh)
 
     def test_longer_target_rolls_out_separately(self, monkeypatch):
-        loc, rollouts, scores = self._locate(monkeypatch, False, 25)
-        assert loc.constraint_found and rollouts == len(scores) > 0
+        estimate, _, rollouts, scores = self._locate(monkeypatch, False, 25)
+        assert estimate is not None and rollouts == len(scores) > 0
 
 
 def _pin(alpha, rng):
-    """The bits of a returned parameter vector and the generator's next draw."""
+    """The bits of a trained parameter vector and the generator's next draw."""
     return [float.hex(float(v)) for v in alpha], int(rng.integers(2**62))
 
 
 class TestPinnedLoops:
     """Bit-exact results of the training loops on the toy rule.
 
-    Each run pins the returned parameters and the generator's next draw, so
+    Each run pins the parameters it leaves and the generator's next draw, so
     any change to a loop's arithmetic, or to the number or order of its rng
     calls, shows here.
     """
@@ -466,15 +461,17 @@ class TestPinnedLoops:
 
         monkeypatch.setattr(prior_training, "_diverged", diverged)
         monkeypatch.setattr(prior_training, "estimate_sublevel_probability", check)
+        monkeypatch.setattr(prior_training, "GUARD_FACTOR", 2.0)
+        monkeypatch.setattr(prior_training, "LOCATE_DECAY_EVERY", 100)
         spec = SublevelSpec(p_l=0.0, p_u=0.5, g_scale=0.5**40)
         cfg = LocateConfig(n_max=600, check_every=20, run_length=20, lr=0.005, segment_len=2,
-                           target_len=5, score_instances=1, guard_factor=2.0, decay_every=100)
+                           target_len=5, score_instances=1)
         rng = np.random.default_rng(seed)
+        algo = _ScriptedAlgo(-0.3)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = locate_prior(_ScriptedAlgo(-0.3), [None, None], [None], np.array([1.0]),
-                               spec, cfg, rng)
-        assert _pin(res.alpha, rng) == ([alpha], draw)
-        assert res.estimate == 1.0 / 60.0
+            estimate = locate_prior(algo, [None, None], [None], np.array([1.0]), spec, cfg, rng)
+        assert _pin(algo.params, rng) == ([alpha], draw)
+        assert estimate == 1.0 / 60.0
         assert min(seen.values()) > 0
         # a diverged segment skips only its Adam step: every check_every-th iteration checks
         assert seen["checks"] == cfg.n_max // cfg.check_every
@@ -485,11 +482,11 @@ class TestPinnedLoops:
         (2, 0, "0x1.7f79b6f44ce5dp-2", 4589072640179700698),
         (2, 1, "0x1.5608427a02689p-2", 2718598417547118606),
     ])
-    def test_find_initialization(self, segment_len, seed, alpha, draw):
+    def test_find_initialization(self, monkeypatch, segment_len, seed, alpha, draw):
+        monkeypatch.setattr(prior_training, "INIT_DECAY_EVERY", 7)
         cfg = StageConfig(segment_len=segment_len, target_len=4, n_init=10, eps_init=0.0,
-                          max_iterations=60, decay_every=7, lr=0.05)
+                          max_iterations=60, lr=0.05)
         rng = np.random.default_rng(seed)
-        res = find_initialization(_ScriptedAlgo(0.8), _ScriptedAlgo(0.3), [None, None],
-                                  np.array([1.0]), cfg, rng)
-        assert not res.converged
-        assert _pin(res.alpha, rng) == ([alpha], draw)
+        algo = _ScriptedAlgo(0.8)
+        assert not find_initialization(algo, _ScriptedAlgo(0.3), [None, None], np.array([1.0]), cfg, rng)
+        assert _pin(algo.params, rng) == ([alpha], draw)
